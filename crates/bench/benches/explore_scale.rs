@@ -65,7 +65,6 @@ fn measure(n: usize, stack: &'static str, reduction: Reduction) -> Point {
     let begin = Instant::now();
     let t = Explorer::with_limits(&interp, Limits::default())
         .with_reduction(reduction)
-        .with_threads(1)
         .terminals()
         .expect("explores");
     Point {
@@ -157,7 +156,6 @@ fn bench_explore_scale(c: &mut Criterion) {
         b.iter(|| {
             let t = Explorer::new(&interp)
                 .with_reduction(Reduction::FULL)
-                .with_threads(1)
                 .terminals()
                 .expect("explores");
             assert!(!t.stats.truncated);

@@ -6,11 +6,6 @@
 //! buy over the naive search on the same programs, asserting the
 //! claimed floor (at least 2x fewer states visited on the Figure 3
 //! three-way interleaving and on the bridge programs).
-//!
-//! Every explorer here is pinned to one thread: this bench measures
-//! the serial engine regardless of `CONCUR_EXPLORE_THREADS`, and its
-//! state-count assertions assume serial DFS accounting. Parallel
-//! scaling is measured by the `explorer_par` bench.
 
 use concur_exec::explore::{Explorer, Limits, Stats};
 use concur_exec::figures::{FIG3_INTERLEAVED, FIG5_MESSAGE_PASSING};
@@ -40,12 +35,8 @@ fn report_por_reduction() {
     for (name, src) in [("fig3_interleaved", FIG3_INTERLEAVED), ("sm_bridge", BRIDGE_SHARED_MEMORY)]
     {
         let interp = Interp::from_source(src).unwrap();
-        let naive = Explorer::with_limits(&interp, limits)
-            .with_threads(1)
-            .without_por()
-            .terminals()
-            .unwrap();
-        let por = Explorer::with_limits(&interp, limits).with_threads(1).terminals().unwrap();
+        let naive = Explorer::with_limits(&interp, limits).without_por().terminals().unwrap();
+        let por = Explorer::with_limits(&interp, limits).terminals().unwrap();
         assert_eq!(por.terminals, naive.terminals, "{name}: reduction changed the terminal set");
         assert!(
             naive.stats.states_visited >= 2 * por.stats.states_visited,
@@ -61,9 +52,8 @@ fn report_por_reduction() {
     // reduced exploration.
     let interp = Interp::from_source(BRIDGE_MESSAGE_PASSING).unwrap();
     let cap = Limits { max_states: 150_000, max_depth: 50_000, max_setup_states: 4096 };
-    let naive =
-        Explorer::with_limits(&interp, cap).with_threads(1).without_por().terminals().unwrap();
-    let por = Explorer::with_limits(&interp, limits).with_threads(1).terminals().unwrap();
+    let naive = Explorer::with_limits(&interp, cap).without_por().terminals().unwrap();
+    let por = Explorer::with_limits(&interp, limits).terminals().unwrap();
     assert!(naive.stats.truncated, "naive mp-bridge search unexpectedly finished");
     assert!(!por.stats.truncated, "reduced mp-bridge search should be complete");
     assert!(
@@ -85,13 +75,13 @@ fn bench_explorer(c: &mut Criterion) {
     let fig3 = Interp::from_source(FIG3_INTERLEAVED).unwrap();
     group.bench_function("fig3_terminals", |b| {
         b.iter(|| {
-            let set = Explorer::new(&fig3).with_threads(1).terminals().unwrap();
+            let set = Explorer::new(&fig3).terminals().unwrap();
             assert_eq!(set.outputs().len(), 3);
         });
     });
     group.bench_function("fig3_terminals_naive", |b| {
         b.iter(|| {
-            let set = Explorer::new(&fig3).with_threads(1).without_por().terminals().unwrap();
+            let set = Explorer::new(&fig3).without_por().terminals().unwrap();
             assert_eq!(set.outputs().len(), 3);
         });
     });
@@ -99,7 +89,7 @@ fn bench_explorer(c: &mut Criterion) {
     let fig5 = Interp::from_source(FIG5_MESSAGE_PASSING).unwrap();
     group.bench_function("fig5_terminals", |b| {
         b.iter(|| {
-            let set = Explorer::new(&fig5).with_threads(1).terminals().unwrap();
+            let set = Explorer::new(&fig5).terminals().unwrap();
             assert_eq!(set.outputs().len(), 2);
         });
     });
@@ -107,13 +97,13 @@ fn bench_explorer(c: &mut Criterion) {
     let bridge = Interp::from_source(BRIDGE_SHARED_MEMORY).unwrap();
     group.bench_function("sm_bridge_full_space", |b| {
         b.iter(|| {
-            let set = Explorer::new(&bridge).with_threads(1).terminals().unwrap();
+            let set = Explorer::new(&bridge).terminals().unwrap();
             assert!(!set.has_deadlock());
         });
     });
     group.bench_function("sm_bridge_full_space_naive", |b| {
         b.iter(|| {
-            let set = Explorer::new(&bridge).with_threads(1).without_por().terminals().unwrap();
+            let set = Explorer::new(&bridge).without_por().terminals().unwrap();
             assert!(!set.has_deadlock());
         });
     });
@@ -126,8 +116,7 @@ fn bench_explorer(c: &mut Criterion) {
     group.sample_size(2);
     group.bench_function("mp_bridge_full_space", |b| {
         b.iter(|| {
-            let set =
-                Explorer::with_limits(&mp_bridge, mp_limits).with_threads(1).terminals().unwrap();
+            let set = Explorer::with_limits(&mp_bridge, mp_limits).terminals().unwrap();
             assert!(!set.stats.truncated);
         });
     });

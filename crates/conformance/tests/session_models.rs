@@ -29,7 +29,7 @@ const MODELS: &[(&str, &str)] = &[
 fn all_models_byte_identical_to_serial_at_all_worker_counts() {
     for (name, src) in MODELS {
         let interp = Interp::from_source(src).expect("model compiles");
-        let serial = Explorer::new(&interp).with_threads(1).terminals().expect("explores");
+        let serial = Explorer::new(&interp).terminals().expect("explores");
         for workers in [1usize, 2, 4, 8] {
             let cache = Arc::new(QueryCache::new());
             let session = Session::new(&interp).with_threads(workers).with_cache(cache);
@@ -58,7 +58,7 @@ fn admits_trace_verdicts_match_serial() {
     };
     for (name, src) in &MODELS[..4] {
         let interp = Interp::from_source(src).expect("model compiles");
-        let explorer = Explorer::new(&interp).with_threads(1);
+        let explorer = Explorer::new(&interp);
         let session = Session::new(&interp).with_cache(Arc::new(QueryCache::new()));
         let model = session.terminals().expect("explores");
         for obs in model.outputs() {

@@ -155,8 +155,8 @@ pub struct Stats {
     /// (the visited-set hit count). For a fixed program explored
     /// without POR, `states_visited + states_deduped` equals the
     /// transition count plus the root count — conserved across any
-    /// exploration order, including across parallel worker counts; the
-    /// `par_differential` suite asserts this.
+    /// exploration order, so the DFS and a graph build at any worker
+    /// count agree on it.
     pub states_deduped: usize,
     pub transitions: usize,
     /// Whether any bound was hit (results are then lower bounds).
@@ -211,13 +211,12 @@ pub struct Stats {
     /// (a warm restart) instead of a fresh build; 1 or 0.
     pub disk_loads: usize,
     /// Longest probe sequence any interner/claim-table operation
-    /// walked (peak, max-merged across workers like
-    /// `peak_stack_depth`). A growing value indicates hash clustering
-    /// or a segment spilling.
+    /// walked (a peak). A growing value indicates hash clustering or
+    /// a segment spilling.
     pub probe_len_max: usize,
     /// Insert CAS attempts that lost to a concurrent insert in the
-    /// lock-free membership layer (summed across workers like
-    /// `states_deduped`). Zero in any single-threaded exploration.
+    /// lock-free membership layer. Only a graph build on several
+    /// workers can race; zero for the DFS and one-worker builds.
     pub claim_cas_retries: usize,
     /// Slot bytes reserved in the interner's payload arenas and the
     /// claim table (summed; payload heap behind the slots — strings,
@@ -227,9 +226,9 @@ pub struct Stats {
 
 impl Stats {
     /// Fold the membership layer's contention counters into this
-    /// run's statistics (called once per exploration, after workers
-    /// quiesce — per-worker `Stats` carry zeros so the cross-worker
-    /// merge cannot double-count).
+    /// run's statistics. Called once per exploration, at its end: the
+    /// counters are read from the tables themselves, never summed from
+    /// per-node stats, so nothing is counted twice.
     pub(crate) fn note_contention(&mut self, c: crate::intern::Contention) {
         self.probe_len_max = self.probe_len_max.max(c.probe_len_max);
         self.claim_cas_retries += c.claim_cas_retries;
@@ -426,30 +425,28 @@ pub(crate) enum Expansion {
 pub(crate) type AmpleOut = (Vec<Succ>, Vec<State>, Vec<SleepSet>, usize);
 
 /// What the expansion planner needs from an exploration's storage:
-/// interning and visited-set membership. Every
-/// implementation sits on the same concrete backend — the lock-free
-/// [`Interner`] and [`ClaimTable`] — differing only in bookkeeping:
-/// [`SerialCtx`] owns its tables, the parallel frontier and the graph
-/// builder share theirs across workers. Keeping ample-set selection
-/// behind this trait is what makes the parallel explorer *exact*:
-/// both sides run the identical commutation and proviso checks,
-/// differing only in where membership answers come from.
+/// interning and visited-set membership. Both implementations intern
+/// through the lock-free [`Interner`] and differ only in where
+/// membership answers come from: [`SerialCtx`] asks the DFS's live
+/// [`ClaimTable`], the graph builder's `FrozenCtx` its snapshot of
+/// the previous level. Keeping ample-set selection behind this trait
+/// is what lets the DFS serve as the builder's reference: both run the
+/// identical commutation and proviso checks.
 pub(crate) trait ExploreCtx {
     fn intern(&mut self, state: &State) -> StateSig;
     /// Whether `(sig, progress)` is already a claimed/visited node.
     fn is_visited(&self, key: (StateSig, usize)) -> bool;
 }
 
-/// Storage for one serial exploration: the same lock-free backend the
-/// parallel drivers share, owned by a single thread (uncontended
-/// atomics are effectively free, so nothing is gained by a separate
-/// serial implementation — and the differential suites get one less
-/// axis of divergence to worry about).
+/// Storage for one DFS: the lock-free interner the graph builder
+/// shares across its workers, here owned by a single thread
+/// (uncontended atomics are effectively free, so a separate serial
+/// interner would buy nothing), plus the visited set.
 pub(crate) struct SerialCtx {
     pub(crate) pools: Interner,
     /// Visited nodes under the sleep-aware superset claim rule (see
     /// [`ClaimTable::claim`]).
-    pub(crate) visited: ClaimTable<(StateSig, usize), ()>,
+    pub(crate) visited: ClaimTable<(StateSig, usize)>,
 }
 
 impl SerialCtx {
@@ -464,7 +461,7 @@ impl SerialCtx {
     /// (append-only; a node can be explored under several
     /// incomparable sleep sets) and the caller must expand the node.
     pub(crate) fn claim(&mut self, key: (StateSig, usize), sleep: SleepSet) -> bool {
-        self.visited.claim(&key, sleep, || ())
+        self.visited.claim(&key, sleep)
     }
 
     /// This exploration's membership-layer counters.
@@ -545,30 +542,13 @@ pub enum Visit {
     Stop,
 }
 
-/// How many worker threads an [`Explorer`] call may use. Reads the
-/// `CONCUR_EXPLORE_THREADS` environment variable once per process
-/// (values `>= 1`; unset, `0` or garbage fall back to the machine's
-/// available parallelism).
-pub(crate) fn configured_threads() -> usize {
-    use std::sync::OnceLock;
-    static CONFIGURED: OnceLock<usize> = OnceLock::new();
-    *CONFIGURED.get_or_init(|| {
-        std::env::var("CONCUR_EXPLORE_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-    })
-}
-
-/// The explorer: exhaustive search drivers over an [`Interp`].
+/// The explorer: a depth-first search over an [`Interp`] that runs on
+/// the calling thread and memoizes nothing.
 ///
-/// With more than one thread (explicit [`Explorer::with_threads`], or
-/// the `CONCUR_EXPLORE_THREADS` environment knob, which defaults to
-/// the machine's available parallelism) the terminal enumeration and
-/// question answering delegate to the work-stealing
-/// [`crate::par::ParExplorer`]; the results are exact either way (the
-/// parallel differential suite holds the two byte-identical).
+/// It is also the reference the graph builder behind
+/// [`crate::session::Session`] is tested against; the two share the
+/// expansion planner (`plan_expansion`) and differ in
+/// traversal order and storage.
 pub struct Explorer<'i> {
     pub interp: &'i Interp,
     pub limits: Limits,
@@ -577,22 +557,15 @@ pub struct Explorer<'i> {
     /// unreduced — bar the visibility-protected POR described on
     /// [`Explorer::can_happen`] — regardless of these flags.
     pub reduction: Reduction,
-    /// Worker-thread override; `None` consults the environment knob.
-    threads: Option<usize>,
 }
 
 impl<'i> Explorer<'i> {
     pub fn new(interp: &'i Interp) -> Self {
-        Explorer {
-            interp,
-            limits: Limits::default(),
-            reduction: Reduction::from_env(),
-            threads: None,
-        }
+        Explorer::with_limits(interp, Limits::default())
     }
 
     pub fn with_limits(interp: &'i Interp, limits: Limits) -> Self {
-        Explorer { interp, limits, reduction: Reduction::from_env(), threads: None }
+        Explorer { interp, limits, reduction: Reduction::from_env() }
     }
 
     /// The same explorer with partial-order reduction disabled.
@@ -612,24 +585,12 @@ impl<'i> Explorer<'i> {
         self
     }
 
-    /// Pin the worker-thread count, overriding the
-    /// `CONCUR_EXPLORE_THREADS` environment knob. `1` forces the
-    /// serial DFS; `n > 1` forces the parallel frontier with `n`
-    /// workers.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+    /// Does nothing: the DFS always runs on the calling thread. Graph
+    /// builds take their worker count from
+    /// [`crate::session::Session::with_threads`].
+    #[deprecated(note = "the DFS is serial; set graph-build workers with `Session::with_threads`")]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
-    }
-
-    /// The worker count this explorer will actually use.
-    pub fn effective_threads(&self) -> usize {
-        self.threads.unwrap_or_else(configured_threads).max(1)
-    }
-
-    fn as_parallel(&self) -> crate::par::ParExplorer<'i> {
-        crate::par::ParExplorer::with_limits(self.interp, self.limits)
-            .reduction(self.reduction)
-            .workers(self.effective_threads())
     }
 
     /// Enumerate every reachable terminal state (distinct outputs +
@@ -640,15 +601,6 @@ impl<'i> Explorer<'i> {
     /// every state with no enabled transitions — every terminal — is
     /// still reached.
     pub fn terminals(&self) -> Result<TerminalSet, RuntimeError> {
-        if self.effective_threads() > 1 {
-            return self.as_parallel().terminals();
-        }
-        self.terminals_serial()
-    }
-
-    /// The serial DFS terminal enumeration, regardless of the thread
-    /// knob.
-    pub(crate) fn terminals_serial(&self) -> Result<TerminalSet, RuntimeError> {
         let begin = Instant::now();
         let mut terminals = BTreeSet::new();
         let mut stats = Stats::default();
@@ -789,19 +741,6 @@ impl<'i> Explorer<'i> {
     /// statistics (the setup-discovery search is accounted separately
     /// inside, but its wall time and truncation are folded in).
     pub fn can_happen_with_stats(
-        &self,
-        setup: &[StateCond],
-        query: &[EventPattern],
-    ) -> Result<(Answer, Stats), RuntimeError> {
-        if self.effective_threads() > 1 {
-            return self.as_parallel().can_happen_with_stats(setup, query);
-        }
-        self.can_happen_with_stats_serial(setup, query)
-    }
-
-    /// The serial question-answering path, regardless of the thread
-    /// knob.
-    pub(crate) fn can_happen_with_stats_serial(
         &self,
         setup: &[StateCond],
         query: &[EventPattern],
@@ -1021,11 +960,11 @@ impl<'i> Explorer<'i> {
     /// only enabled choice — is extended through its corridor (see
     /// [`Explorer::compress_corridor`]) before becoming an edge.
     ///
-    /// Generic over [`ExploreCtx`]: the serial DFS and the parallel
-    /// frontier share this planner (and everything below it)
-    /// verbatim, so a node's ample set depends only on the state, the
-    /// visibility, and visited-set membership at planning time —
-    /// never on which engine asked.
+    /// Generic over [`ExploreCtx`]: the DFS and the graph builder
+    /// share this planner (and everything below it) verbatim, so a
+    /// node's ample set depends only on the state, the visibility, and
+    /// visited-set membership at planning time — never on which engine
+    /// asked.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn plan_expansion<C: ExploreCtx>(
         &self,
@@ -1278,6 +1217,7 @@ impl<'i> Explorer<'i> {
     /// [`CORRIDOR_MAX`] hops — a bound on single-edge work for
     /// infinite-state programs; the end node just seeds the next
     /// corridor.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn compress_corridor<C: ExploreCtx>(
         &self,
         seed: Succ,
@@ -1322,17 +1262,15 @@ impl<'i> Explorer<'i> {
                     // Corridors only run with an empty sleep set (see
                     // `plan_expansion`), and an empty set stays empty
                     // through a singleton hop, so pass sleep = 0.
-                    match self.try_ample(
-                        &cur, &choices, progress, reduction, 0, visibility, ctx, stats,
-                    )? {
+                    match self
+                        .try_ample(&cur, &choices, progress, reduction, 0, visibility, ctx, stats)?
+                    {
                         Some((succs, states, _, _)) if succs.len() == 1 => {
                             stats.por_ample_states += 1;
                             stats.por_pruned_choices += choices.len() - 1;
                             stats.transitions += 1;
-                            let next =
-                                states.into_iter().next().expect("state per successor");
-                            let (s, e, p) =
-                                succs.into_iter().next().expect("singleton");
+                            let next = states.into_iter().next().expect("state per successor");
+                            let (s, e, p) = succs.into_iter().next().expect("singleton");
                             Some((s, e, p, Some(next)))
                         }
                         // A branching ample set (or none) ends the
@@ -1489,4 +1427,54 @@ pub fn terminal_outputs(source: &str) -> Result<Vec<String>, String> {
     let explorer = Explorer::new(&interp);
     let set = explorer.terminals().map_err(|e| e.to_string())?;
     Ok(set.outputs())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::figures;
+
+    fn interp(src: &str) -> Interp {
+        Interp::from_source(src).expect("compiles")
+    }
+
+    #[test]
+    fn stats_conservation_without_por() {
+        // Without POR the transition structure of a fixed program is
+        // fixed, so every edge is exactly one claim attempt:
+        // visited + deduped == transitions + roots. This is the
+        // invariant that catches lost or double-counted stats.
+        let interp = interp(figures::FIG5_MESSAGE_PASSING);
+        let set = Explorer::new(&interp).without_por().terminals().unwrap();
+        assert_eq!(
+            set.stats.states_visited + set.stats.states_deduped,
+            set.stats.transitions + 1,
+            "every edge is one claim attempt, plus the root"
+        );
+    }
+
+    #[test]
+    fn reduction_counters_conserve() {
+        // The reduction counters obey their own laws: NONE must leave
+        // both at zero, symmetry on a symmetric model must canonicalize
+        // at least once and leave a quotient strictly smaller than the
+        // concrete reachable set, and the full stack must sleep-prune
+        // without changing the terminals.
+        let interp = interp(&figures::dining(2));
+        let none = Explorer::new(&interp).with_reduction(Reduction::NONE).terminals().unwrap();
+        assert_eq!(none.stats.states_canonicalized, 0, "NONE must not canonicalize");
+        assert_eq!(none.stats.sleep_pruned, 0, "NONE must not sleep-prune");
+
+        let sym_only = Reduction { por: false, symmetry: true, sleep: false };
+        let sym = Explorer::new(&interp).with_reduction(sym_only).terminals().unwrap();
+        assert!(sym.stats.states_canonicalized > 0, "symmetry never fired");
+        assert!(
+            sym.stats.states_visited < none.stats.states_visited,
+            "the quotient must be smaller than the concrete space"
+        );
+
+        let full = Explorer::new(&interp).with_reduction(Reduction::FULL).terminals().unwrap();
+        assert!(full.stats.sleep_pruned > 0, "sleep sets never pruned on dining(2)");
+        assert_eq!(full.terminals, sym.terminals, "full stack changed the terminals");
+    }
 }

@@ -11,17 +11,18 @@
 //!
 //! # Deterministic level-synchronized construction
 //!
-//! The work-stealing frontier ([`crate::par`]) is exact but not
-//! *deterministic*: racing claims make POR's ample selection (and so
-//! the explored subgraph) differ run to run. A cached graph must not
-//! have that property — the whole point is that an answer computed
-//! today byte-matches the answer recomputed tomorrow, at any worker
-//! count. So the builder runs a level-synchronized BFS:
+//! This builder is the crate's only parallel exploration engine, and
+//! it must be *deterministic*: the whole point of a cached graph is
+//! that an answer computed today byte-matches the answer recomputed
+//! tomorrow, at any worker count. Workers racing on one live visited
+//! set would make POR's ample selection (and so the explored subgraph)
+//! depend on thread timing. So the builder runs a level-synchronized
+//! BFS:
 //!
 //! 1. Every node of the current level is expanded against a *frozen*
 //!    visited snapshot (the table as of the end of the previous
 //!    level). Expansion planning — including ample-set selection and
-//!    corridor compression, shared verbatim with both explorers via
+//!    corridor compression, shared verbatim with the serial DFS via
 //!    `ExploreCtx` — therefore depends only on the state and the
 //!    snapshot, never on scheduling. Levels are fanned out across
 //!    worker threads by contiguous chunks; results are indexed, so
@@ -35,14 +36,12 @@
 //! its insertion ends level `k` or later. Around a cycle of
 //! ample-expanded nodes the insertion levels would have to be strictly
 //! increasing — a contradiction, so at least one node of every cycle
-//! is fully expanded (the same ignoring-problem guarantee both
-//! explorers carry).
+//! is fully expanded (the same ignoring-problem guarantee the DFS's
+//! unvisited-successor proviso gives).
 //!
 //! Witness searches over the graph are plain FIFO BFS on the
 //! `(node, query-progress)` product, seeded in canonical order —
-//! witnesses are shortest and identical at every worker count, closing
-//! the serial/parallel witness divergence the direct explorers
-//! document.
+//! witnesses are shortest and identical at every worker count.
 
 use crate::event::{Event, EventPattern, StateCond};
 use crate::explore::{
@@ -81,7 +80,7 @@ struct NodeRec {
     /// is on). In-memory only: reloads rebuild structure from picks
     /// and never re-run the planner, so sleeps need not persist.
     sleep: u128,
-    /// Path depth in nodes (root = 1); mirrors the explorers' depth
+    /// Path depth in nodes (root = 1); mirrors the DFS's depth
     /// accounting for `max_depth`.
     depth: u32,
     /// BFS-tree parent (self for the root) and the edge index within
@@ -194,7 +193,7 @@ impl StateGraph {
     ) -> Result<StateGraph, RuntimeError> {
         let begin = Instant::now();
         let interner = Interner::new();
-        let probe = Explorer::with_limits(interp, limits).with_threads(1);
+        let probe = Explorer::with_limits(interp, limits);
         // Under sleep sets a signature can legitimately own several
         // nodes (claimed with incomparable sleep sets); the map keeps
         // them all, in id order, and dedup picks the first whose
@@ -432,9 +431,8 @@ impl StateGraph {
                     }
                 }
                 if p2 as usize == query.len() {
-                    // Realized (possibly mid-edge): like the direct
-                    // explorers, the witness carries the full final
-                    // edge.
+                    // Realized (possibly mid-edge): like the DFS, the
+                    // witness carries the full final edge.
                     let (witness, mut evidence) =
                         self.assemble_witness(&parents, (n, p), ei as u32);
                     evidence.decisions = self.concretize_decisions(interp, evidence.decisions);
@@ -1013,7 +1011,7 @@ mod tests {
     fn graph_terminals_match_direct_exploration() {
         for src in [figures::FIG3_TWO_PRINTS, figures::FIG5_MESSAGE_PASSING] {
             let interp = Interp::from_source(src).expect("compiles");
-            let direct = Explorer::new(&interp).with_threads(1).terminals().expect("explores");
+            let direct = Explorer::new(&interp).terminals().expect("explores");
             let built = StateGraph::build(
                 &interp,
                 Limits::default(),
@@ -1048,8 +1046,8 @@ mod tests {
     #[test]
     fn unreduced_graph_conserves_claims() {
         // Without POR every transition is exactly one edge and one
-        // dedup-or-insert, so the conservation law the par suite
-        // asserts holds for the store too.
+        // dedup-or-insert, so the conservation law the DFS obeys
+        // holds for the store too, at any worker count.
         let interp = Interp::from_source(figures::FIG5_MESSAGE_PASSING).expect("compiles");
         let built = StateGraph::build(
             &interp,
@@ -1062,8 +1060,7 @@ mod tests {
         .expect("builds");
         let s = built.stats();
         assert_eq!(s.states_visited + s.states_deduped, s.transitions + 1);
-        let direct =
-            Explorer::new(&interp).with_threads(1).without_por().terminals().expect("explores");
+        let direct = Explorer::new(&interp).without_por().terminals().expect("explores");
         assert_eq!(s.states_visited, direct.stats.states_visited);
         assert_eq!(s.transitions, direct.stats.transitions);
     }

@@ -10,13 +10,12 @@
 //! *exactly* (the visited set no longer relies on 64-bit hashes being
 //! collision-free).
 //!
-//! One concrete backend — [`Interner`] — serves every exploration
-//! driver: the serial DFS, the parallel work-stealing frontier
-//! (`par.rs`), and the level-synchronized graph builder (`graph.rs`)
-//! all intern through the same lock-free structures. (Earlier
-//! revisions kept a single-threaded `Rc`-backed interner and a
-//! separate 16-way Mutex-striped one; the lock-free table is
-//! uncontended-cheap enough to make the split pointless.)
+//! One concrete backend — [`Interner`] — serves both exploration
+//! drivers: the serial DFS (`explore.rs`) and the level-synchronized
+//! graph builder (`graph.rs`), whose workers share one interner across
+//! threads. (Earlier revisions kept a single-threaded `Rc`-backed
+//! interner and a separate 16-way Mutex-striped one; the lock-free
+//! table is uncontended-cheap enough to make the split pointless.)
 //!
 //! The membership layer is built from three pieces:
 //!
@@ -31,11 +30,10 @@
 //!   of a bounded quadratic probe sequence; growth is pre-sized
 //!   segment chaining (×8 per segment), never rehashing, so published
 //!   ids are never relocated.
-//! * [`ClaimTable`] — the visited set: the same table over entries
-//!   carrying a key, a value (parent link), and the sleep sets the
-//!   node was claimed under. `claim` is the workers' merge-free
-//!   arbitration point: for plain membership exactly one caller per
-//!   key ever sees `true`.
+//! * [`ClaimTable`] — the DFS's visited set: the same table over
+//!   entries carrying a key and the sleep sets the node was claimed
+//!   under. For plain membership exactly one `claim` per key ever
+//!   sees `true`, from however many threads.
 //!
 //! Interning is per-exploration: signatures from different
 //! [`Interner`]s are meaningless to compare.
@@ -271,11 +269,10 @@ pub fn symmetry_perm(state: &State) -> Option<Vec<usize>> {
 /// 128 bytes covers the spatial-prefetcher pair on x86_64 and the
 /// 128-byte lines on apple-silicon; on everything else it merely
 /// wastes a line of padding per instance, which the handful of
-/// instances here (arena shard cursors, table counters, worker deque
-/// heads) can afford.
+/// instances here (arena shard cursors, table counters) can afford.
 #[repr(align(128))]
 #[derive(Default)]
-pub(crate) struct CachePadded<T>(pub T);
+struct CachePadded<T>(T);
 
 impl<T> std::ops::Deref for CachePadded<T> {
     type Target = T;
@@ -315,8 +312,12 @@ struct ArenaShard<T> {
     /// `&T` handed out for an id stays valid while the arena lives —
     /// the no-relocation property that makes published ids stable
     /// without any read-side synchronization beyond the table's.
-    chunks: [OnceLock<Box<[UnsafeCell<MaybeUninit<T>>]>>; ARENA_CHUNKS],
+    chunks: [Chunk<T>; ARENA_CHUNKS],
 }
+
+/// One geometrically sized block of arena slots, allocated on first
+/// use and never moved afterwards.
+type Chunk<T> = OnceLock<Box<[UnsafeCell<MaybeUninit<T>>]>>;
 
 /// Sharded append-only store with stable `u32` ids and `&T` access.
 ///
@@ -542,12 +543,8 @@ impl Table {
                         // any thread that Acquire-loads this slot.
                         // Acquire on failure: we are about to inspect
                         // the winner's entry through the loaded word.
-                        match slot.compare_exchange(
-                            0,
-                            packed,
-                            Ordering::Release,
-                            Ordering::Acquire,
-                        ) {
+                        match slot.compare_exchange(0, packed, Ordering::Release, Ordering::Acquire)
+                        {
                             Ok(_) => {
                                 self.record_probes(probes);
                                 return (id, true);
@@ -662,9 +659,8 @@ struct SleepNode {
     next: *mut SleepNode,
 }
 
-struct ClaimEntry<K, V> {
+struct ClaimEntry<K> {
     key: K,
-    value: V,
     /// The first claim's sleep set — immutable, published with the
     /// entry itself through the table-slot CAS. `0` (no sleeping
     /// tasks) covers every later arrival, which is also the sleep-off
@@ -674,7 +670,7 @@ struct ClaimEntry<K, V> {
     overflow: AtomicPtr<SleepNode>,
 }
 
-impl<K, V> Drop for ClaimEntry<K, V> {
+impl<K> Drop for ClaimEntry<K> {
     fn drop(&mut self) {
         let mut p = *self.overflow.get_mut();
         while !p.is_null() {
@@ -686,8 +682,8 @@ impl<K, V> Drop for ClaimEntry<K, V> {
     }
 }
 
-/// The visited set shared by every exploration driver: a lock-free
-/// insert-if-absent map with the sleep-aware *superset claim rule*.
+/// The DFS's visited set: a lock-free insert-if-absent set with the
+/// sleep-aware *superset claim rule*.
 ///
 /// A stored claim covers a new arrival when some recorded sleep set
 /// is a subset of the incoming one — that prior visit explored at
@@ -701,30 +697,26 @@ impl<K, V> Drop for ClaimEntry<K, V> {
 /// more re-expansion than a serial order would do: counts are
 /// nondeterministic, answers exact, matching the documented semantics
 /// of the sleep layer.
-pub(crate) struct ClaimTable<K, V> {
+pub(crate) struct ClaimTable<K> {
     table: Table,
-    arena: Arena<ClaimEntry<K, V>>,
+    arena: Arena<ClaimEntry<K>>,
 }
 
-impl<K: Eq + Hash + Clone, V> ClaimTable<K, V> {
+impl<K: Eq + Hash + Clone> ClaimTable<K> {
     pub fn new() -> Self {
         ClaimTable { table: Table::new(), arena: Arena::new() }
     }
 
     /// Claim `(key, sleep)` under the superset rule. Returns whether
-    /// the caller must expand the node. `value` is stored only by the
-    /// entry-creating claim (losing a creation race still lazily
-    /// built it — accepted waste, like the arena's).
-    pub fn claim(&self, key: &K, sleep: u128, value: impl FnOnce() -> V) -> bool {
+    /// the caller must expand the node.
+    pub fn claim(&self, key: &K, sleep: u128) -> bool {
         let hash = fx_hash_of(key);
-        let mut value = Some(value);
         let (id, fresh) = self.table.find_or_insert(
             hash,
             |id| self.arena.get(id).key == *key,
             || {
                 let entry = ClaimEntry {
                     key: key.clone(),
-                    value: (value.take().expect("value built once"))(),
                     first_sleep: sleep,
                     overflow: AtomicPtr::new(std::ptr::null_mut()),
                 };
@@ -765,12 +757,8 @@ impl<K: Eq + Hash + Clone, V> ClaimTable<K, V> {
             }
             // Release: publishes the node's fields to the Acquire load
             // above in other claimers.
-            match entry.overflow.compare_exchange(
-                head,
-                node,
-                Ordering::Release,
-                Ordering::Acquire,
-            ) {
+            match entry.overflow.compare_exchange(head, node, Ordering::Release, Ordering::Acquire)
+            {
                 Ok(_) => return true,
                 Err(_) => continue, // re-walk: the new head may cover us
             }
@@ -783,26 +771,19 @@ impl<K: Eq + Hash + Clone, V> ClaimTable<K, V> {
         self.table.lookup(fx_hash_of(key), |id| self.arena.get(id).key == *key).is_some()
     }
 
-    /// The value stored by the key's first claim.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.table
-            .lookup(fx_hash_of(key), |id| self.arena.get(id).key == *key)
-            .map(|id| &self.arena.get(id).value)
-    }
-
     pub fn contention(&self) -> Contention {
         let mut c = self.table.contention();
-        c.arena_bytes = self.arena.len() * std::mem::size_of::<ClaimEntry<K, V>>();
+        c.arena_bytes = self.arena.len() * std::mem::size_of::<ClaimEntry<K>>();
         c
     }
 }
 
 // SAFETY: ClaimEntry's raw pointers are to heap nodes owned by the
 // entry; concurrent access is mediated by the AtomicPtr protocol
-// above. K/V cross threads by reference (Sync) and by move into the
+// above. Keys cross threads by reference (Sync) and by move into the
 // arena (Send).
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for ClaimTable<K, V> {}
-unsafe impl<K: Send, V: Send> Send for ClaimTable<K, V> {}
+unsafe impl<K: Send + Sync> Sync for ClaimTable<K> {}
+unsafe impl<K: Send> Send for ClaimTable<K> {}
 
 // --- the interner --------------------------------------------------------
 
@@ -840,10 +821,10 @@ impl StateSig {
 }
 
 /// Component pools for one exploration: the single concrete backend
-/// behind [`crate::explore::ExploreCtx`] for the serial DFS, the
-/// parallel frontier, and the graph builder alike. `intern` takes
-/// `&self` and is safe (and cheap) from any number of threads; ids
-/// are stable for the interner's lifetime.
+/// behind [`crate::explore::ExploreCtx`] for the DFS and the graph
+/// builder alike. `intern` takes `&self` and is safe (and cheap) from
+/// any number of threads — the builder's level workers share one —
+/// and ids are stable for the interner's lifetime.
 pub(crate) struct Interner {
     globals: LockFreePool<BTreeMap<String, Value>>,
     objects: LockFreePool<Vec<Object>>,
@@ -990,14 +971,12 @@ mod tests {
 
     #[test]
     fn claim_table_grants_each_key_exactly_once() {
-        let table: ClaimTable<(u32, usize), u8> = ClaimTable::new();
+        let table: ClaimTable<(u32, usize)> = ClaimTable::new();
         let wins: usize = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8u8)
-                .map(|worker| {
+                .map(|_| {
                     let table = &table;
-                    scope.spawn(move || {
-                        (0..100u32).filter(|&k| table.claim(&(k, 0), 0, || worker)).count()
-                    })
+                    scope.spawn(move || (0..100u32).filter(|&k| table.claim(&(k, 0), 0)).count())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("no panic")).sum()
@@ -1009,19 +988,19 @@ mod tests {
 
     #[test]
     fn claim_table_superset_rule() {
-        let table: ClaimTable<u32, ()> = ClaimTable::new();
+        let table: ClaimTable<u32> = ClaimTable::new();
         // First claim under {tasks 0,1} asleep.
-        assert!(table.claim(&7, 0b11, || ()));
+        assert!(table.claim(&7, 0b11));
         // Superset of a stored set: covered, no re-expansion.
-        assert!(!table.claim(&7, 0b111, || ()));
+        assert!(!table.claim(&7, 0b111));
         // Incomparable set: must re-expand (appends).
-        assert!(table.claim(&7, 0b100, || ()));
+        assert!(table.claim(&7, 0b100));
         // Now covered by the appended {2}.
-        assert!(!table.claim(&7, 0b110, || ()));
+        assert!(!table.claim(&7, 0b110));
         // The empty set is covered by nothing stored ({0,1} ⊄ ∅, {2} ⊄ ∅)…
-        assert!(table.claim(&7, 0, || ()));
+        assert!(table.claim(&7, 0));
         // …and once stored covers everything.
-        assert!(!table.claim(&7, 0b1000, || ()));
+        assert!(!table.claim(&7, 0b1000));
     }
 
     /// Seeded multi-thread hammer: N threads race to intern M keys

@@ -37,7 +37,6 @@ pub mod graph;
 pub(crate) mod intern;
 pub use intern::canonicalize_symmetry;
 pub mod interp;
-pub mod par;
 pub mod program;
 pub mod schedule;
 pub mod server;
@@ -53,7 +52,6 @@ pub use explore::{
 pub use footprint::{EventMask, Footprint, Resource, StaticResource};
 pub use graph::{GraphMeta, StateGraph, WitnessEvidence};
 pub use interp::{Choice, Interp, Outcome};
-pub use par::ParExplorer;
 pub use program::{compile, compile_source, Compiled};
 pub use schedule::{
     output_set, run, run_from, run_source, RandomScheduler, ReplayScheduler, RoundRobinScheduler,

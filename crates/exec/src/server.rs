@@ -18,7 +18,8 @@
 //!   client asking the same key parks on the flight's condvar and
 //!   reuses the published `Arc<StateGraph>`. N concurrent clients, one
 //!   build, N−1 parked waiters — the soak battery asserts exactly
-//!   this.
+//!   this. A build that fails, or panics, publishes its error to every
+//!   waiter and clears the key, so the next query builds afresh.
 //! * **Admission control.** Builds (not warm reads) must hold one of a
 //!   bounded pool of build permits, granted strictly FIFO by ticket —
 //!   a stampede of distinct cold keys degrades to an orderly queue
@@ -55,6 +56,8 @@ use crate::intern::{fx_hash_of, FxHashMap};
 use crate::interp::Interp;
 use crate::session::{Fetched, GraphKey, OwnedSession, Session};
 use crate::value::RuntimeError;
+use concur_pseudocode::Span;
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
@@ -79,7 +82,8 @@ pub struct ServerConfig {
     /// Test instrumentation: invoked inside the single-flight build
     /// critical section (after admission, before the build) — lets the
     /// property battery hold a build open until the expected waiters
-    /// have parked. `None` in production.
+    /// have parked. A panic here is handled like a panic in the build.
+    /// `None` in production.
     pub build_hold: Option<Arc<dyn Fn() + Send + Sync>>,
 }
 
@@ -431,12 +435,7 @@ impl Server {
                         disk_load = true;
                         Ok(Arc::new(graph))
                     }
-                    None => {
-                        if let Some(hold) = &self.inner.config.build_hold {
-                            hold();
-                        }
-                        build().map(Arc::new)
-                    }
+                    None => self.guarded_build(build).map(Arc::new),
                 };
                 drop(permit);
                 // Publish to the shard first (so post-notify arrivals
@@ -470,6 +469,34 @@ impl Server {
                 Ok(Fetched { graph, hit: false, parked: false, evictions: 0, disk_load })
             }
         }
+    }
+
+    /// Run the `build_hold` hook and the build, turning a panic in
+    /// either into a typed error. The flight must publish whatever
+    /// happens: a panic that escaped here would leave the key
+    /// `Building` forever, and every waiter parked on it — and every
+    /// later query on the key — would block. Catching the unwind is
+    /// sound because the partial graph is dropped with it and the
+    /// builder holds no server lock at this point.
+    fn guarded_build(
+        &self,
+        build: impl FnOnce() -> Result<StateGraph, RuntimeError>,
+    ) -> Result<StateGraph, RuntimeError> {
+        let hold = self.inner.config.build_hold.as_deref();
+        std::panic::catch_unwind(AssertUnwindSafe(|| {
+            if let Some(hold) = hold {
+                hold();
+            }
+            build()
+        }))
+        .unwrap_or_else(|payload| {
+            let reason = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            Err(RuntimeError::new(format!("graph build panicked: {reason}"), Span::SYNTH))
+        })
     }
 
     /// Charge `tenant` for `states` under `key`, touch its LRU slot,

@@ -44,9 +44,7 @@
 //! [`Session::with_cache`] are unaffected by the knob.
 
 use crate::event::{EventKindPattern, EventPattern, StateCond};
-use crate::explore::{
-    configured_threads, Answer, Limits, Reduction, Stats, TerminalSet, Visibility,
-};
+use crate::explore::{Answer, Limits, Reduction, Stats, TerminalSet, Visibility};
 use crate::graph::{GraphMeta, StateGraph, WitnessEvidence};
 use crate::intern::FxHashMap;
 use crate::interp::Interp;
@@ -57,6 +55,22 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+/// The graph-build worker count for sessions (and server sessions)
+/// that set none with [`Session::with_threads`]: the
+/// `CONCUR_EXPLORE_THREADS` environment variable, read once per
+/// process (values `>= 1`; unset, `0` or garbage fall back to the
+/// machine's available parallelism).
+fn configured_threads() -> usize {
+    static CONFIGURED: OnceLock<usize> = OnceLock::new();
+    *CONFIGURED.get_or_init(|| {
+        std::env::var("CONCUR_EXPLORE_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+    })
+}
 
 /// Identity of a memoized state graph. Worker count is deliberately
 /// absent: the level-synchronized builder ([`crate::graph`]) produces
@@ -446,8 +460,10 @@ impl<'i> Session<'i> {
         self
     }
 
-    /// Build-parallelism hint (defaults to `CONCUR_EXPLORE_THREADS`
-    /// or the machine's parallelism). Never part of the cache key.
+    /// Graph-build worker count: how many threads fan out each level
+    /// of a build (defaults to `CONCUR_EXPLORE_THREADS` or the
+    /// machine's parallelism). Never part of the cache key — builds
+    /// are byte-identical at every count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -497,6 +513,7 @@ impl<'i> Session<'i> {
         }
     }
 
+    /// The graph-build worker count this session uses.
     pub fn effective_threads(&self) -> usize {
         self.threads.unwrap_or_else(configured_threads).max(1)
     }

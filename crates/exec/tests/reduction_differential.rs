@@ -6,7 +6,8 @@
 //! stack (ample-set POR + symmetry quotienting + sleep sets) must
 //! produce the same [`TerminalSet`] terminals, the same `can_happen`
 //! verdicts, and the same `admits_trace` verdicts as the unreduced
-//! exploration — serially and at 1/2/4/8 workers.
+//! exploration — on the serial DFS, and on graph builds at 1/2/4/8
+//! workers.
 //!
 //! The golden-curve test at the bottom pins the quotient sizes of
 //! `dining(n)` for n = 2..=6: symmetry reduction on a fully symmetric
@@ -14,8 +15,8 @@
 //! regression in the canonicalizer shows up as a drifted count.
 
 use concur_exec::explore::{Answer, Explorer, Limits, TerminalSet};
-use concur_exec::par::ParExplorer;
-use concur_exec::{figures, Interp, Reduction};
+use concur_exec::{figures, Interp, QueryCache, Reduction, Session};
+use std::sync::Arc;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -23,15 +24,23 @@ fn interp(src: &str) -> Interp {
     Interp::from_source(src).expect("model compiles")
 }
 
-/// Serial exploration pinned to one thread under an explicit
-/// reduction stack.
+/// The serial DFS under an explicit reduction stack.
 fn serial(interp: &Interp, reduction: Reduction) -> TerminalSet {
-    Explorer::new(interp).with_reduction(reduction).with_threads(1).terminals().expect("serial")
+    Explorer::new(interp).with_reduction(reduction).terminals().expect("serial")
+}
+
+/// A fresh full-stack graph build on `workers` threads (a private
+/// cache, so every call really builds).
+fn full_stack_session(interp: &Interp, workers: usize) -> Session<'_> {
+    Session::new(interp)
+        .with_reduction(Reduction::FULL)
+        .with_threads(workers)
+        .with_cache(Arc::new(QueryCache::new()))
 }
 
 /// The full differential for one model: unreduced truth (POR only,
-/// which PR 1 already proved exact) vs the full stack, serial and at
-/// every worker count.
+/// itself proven exact against the naive search) vs the full stack,
+/// on the serial DFS and on graph builds at every worker count.
 fn assert_reductions_exact(name: &str, src: &str) {
     let interp = interp(src);
     let truth = serial(&interp, Reduction { por: true, symmetry: false, sleep: false });
@@ -44,11 +53,7 @@ fn assert_reductions_exact(name: &str, src: &str) {
     // visit marginally *more* interned states than POR alone on tiny
     // models even though it expands strictly fewer transitions.
     for &n in &WORKER_COUNTS {
-        let par = ParExplorer::new(&interp)
-            .reduction(Reduction::FULL)
-            .workers(n)
-            .terminals()
-            .expect("par explore");
+        let par = full_stack_session(&interp, n).terminals().expect("graph build");
         assert!(!par.stats.truncated, "{name}: parallel truncated at {n} workers");
         assert_eq!(
             par.terminals, truth.terminals,
@@ -144,13 +149,11 @@ fn question_bank_verdicts_reduction_differential() {
             Section::MessagePassing => &mp,
         };
         let truth = Explorer::new(program)
-            .with_threads(1)
             .can_happen(&question.setup, &question.scenario)
             .expect("default-stack verdict");
         assert_eq!(truth.is_yes(), question.expected, "{}: ground truth drifted", question.id);
         let full = Explorer::new(program)
             .with_reduction(Reduction::FULL)
-            .with_threads(1)
             .can_happen(&question.setup, &question.scenario)
             .expect("full-stack verdict");
         assert_eq!(
@@ -160,11 +163,9 @@ fn question_bank_verdicts_reduction_differential() {
             question.id
         );
         for n in [2, 8] {
-            let par = ParExplorer::new(program)
-                .reduction(Reduction::FULL)
-                .workers(n)
+            let par = full_stack_session(program, n)
                 .can_happen(&question.setup, &question.scenario)
-                .expect("parallel verdict");
+                .expect("graph-build verdict");
             assert_eq!(
                 shape(&par),
                 shape(&truth),
@@ -189,13 +190,11 @@ fn admits_trace_reduction_differential() {
     for trace in [eats(1), eats(2), eats(4)] {
         let truth = Explorer::new(&interp)
             .with_reduction(Reduction { por: true, symmetry: false, sleep: false })
-            .with_threads(1)
             .admits_trace(&trace)
             .expect("baseline admits_trace");
         for reduction in [Reduction::FULL, Reduction::NONE] {
             let got = Explorer::new(&interp)
                 .with_reduction(reduction)
-                .with_threads(1)
                 .admits_trace(&trace)
                 .expect("reduced admits_trace");
             assert_eq!(
@@ -227,7 +226,6 @@ fn dining_quotient_curve_is_pinned() {
         let interp = interp(&src);
         let full = Explorer::with_limits(&interp, limits)
             .with_reduction(Reduction::FULL)
-            .with_threads(1)
             .terminals()
             .expect("explores");
         assert!(!full.stats.truncated, "dining({n}) truncated under the full stack");

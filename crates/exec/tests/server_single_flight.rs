@@ -10,7 +10,10 @@
 //! hold the same allocation.
 
 use concur_exec::{Server, ServerConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 const RACERS: usize = 16;
 
@@ -121,4 +124,65 @@ ENDIF
     // The key is not wedged: retrying re-attempts the build.
     assert!(server.session("t", &interp).terminal_graph().is_err());
     assert!(stats.misses >= 1);
+}
+
+#[test]
+fn panicking_build_fails_every_client_and_unwedges_the_key() {
+    // The first build panics inside the single-flight critical section
+    // once the other client has parked on it. Both clients must get an
+    // error instead of blocking forever, nothing may stay resident, and
+    // a retry on the same key must build once and succeed. The clients
+    // run on detached threads and report over a channel, so a wedged
+    // key fails the test by timeout instead of hanging it.
+    let cell: Arc<OnceLock<Server>> = Arc::new(OnceLock::new());
+    let hold_cell = Arc::clone(&cell);
+    let panicked = Arc::new(AtomicBool::new(false));
+    let mut config = ServerConfig::new();
+    config.build_hold = Some(Arc::new(move || {
+        if panicked.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let server = hold_cell.get().expect("server installed before queries");
+        while server.stats().parked_waiters < 1 {
+            std::thread::yield_now();
+        }
+        panic!("injected build panic");
+    }));
+    let server = Server::new(config);
+    cell.set(server.clone()).ok().expect("fresh cell");
+
+    let (tx, rx) = mpsc::channel();
+    let clients: Vec<_> = (0..2)
+        .map(|i| {
+            let server = server.clone();
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                let session =
+                    server.owned_session(&format!("client-{i}"), MODEL).expect("model compiles");
+                let _ = tx.send(session.terminals().map(|set| set.terminals));
+            })
+        })
+        .collect();
+    drop(tx);
+    let results: Vec<_> = (0..2)
+        .map(|_| {
+            rx.recv_timeout(Duration::from_secs(60))
+                .expect("a client never returned: the panicked build wedged its key")
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
+    }
+    for result in &results {
+        assert!(result.is_err(), "the builder and the waiter both observe the panic");
+    }
+    let stats = server.stats();
+    assert_eq!(stats.entries, 0, "a panicked build leaves nothing resident");
+    assert_eq!(stats.parked_waiters, 1, "one client parked behind the build");
+
+    let retry = server.owned_session("client-0", MODEL).expect("model compiles").terminals();
+    assert!(retry.is_ok(), "the retry builds afresh: {retry:?}");
+    let stats = server.stats();
+    assert_eq!(stats.builds, 1, "the retry built exactly once");
+    assert_eq!(stats.entries, 1, "the retried graph is resident");
 }

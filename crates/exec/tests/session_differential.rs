@@ -26,7 +26,7 @@ const FIGURES: &[(&str, &str)] = &[
 fn terminals_are_byte_identical_across_workers_and_cache_states() {
     for (name, src) in FIGURES {
         let interp = Interp::from_source(src).expect("compiles");
-        let serial = Explorer::new(&interp).with_threads(1).terminals().expect("explores");
+        let serial = Explorer::new(&interp).terminals().expect("explores");
         let mut reference = None;
         for workers in [1usize, 2, 4, 8] {
             let cache = Arc::new(QueryCache::new());
@@ -92,8 +92,7 @@ fn can_happen_agrees_with_serial_and_is_worker_invariant() {
     ];
     for (name, src, setup, query) in queries {
         let interp = Interp::from_source(src).expect("compiles");
-        let serial =
-            Explorer::new(&interp).with_threads(1).can_happen(&setup, &query).expect("explores");
+        let serial = Explorer::new(&interp).can_happen(&setup, &query).expect("explores");
         let mut reference = None;
         for workers in [1usize, 2, 4, 8] {
             let cache = Arc::new(QueryCache::new());

@@ -96,7 +96,6 @@ fn bank_agrees_with_direct_serial_explorer() {
     for q in bank() {
         let interp = interp_for(q.section);
         let direct = concur_exec::Explorer::with_limits(interp, limits)
-            .with_threads(1)
             .can_happen(&q.setup, &q.scenario)
             .expect("explores");
         let session =
