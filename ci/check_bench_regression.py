@@ -21,6 +21,12 @@ Two knobs, both env-tunable because CI runners are noisy:
 Counts (states, transitions, hit rates) are *not* given slack: they are
 deterministic, so any drift is a correctness change that must be
 accompanied by a baseline update in the same commit.
+
+The query gate also compares two walls of the *same* run: a warm query
+may cost at most WARM_SHARE (5%) of one graph build. A ratio taken
+within one run does not drift with the runner the way walls do, and it
+still binds once the warm wall is far below the noise floor, where the
+baseline ratio check above skips it.
 """
 
 import json
@@ -29,6 +35,7 @@ import sys
 
 TOLERANCE = float(os.environ.get("BENCH_TOLERANCE", "0.40"))
 MIN_WALL_S = float(os.environ.get("BENCH_MIN_WALL_S", "0.5"))
+WARM_SHARE = 0.05
 
 failures = []
 checks = 0
@@ -70,6 +77,18 @@ def gate_query(base, cur):
             f"{suite}.warm_hit_rate",
             c["warm_hit_rate"] >= 1.0,
             f"{c['warm_hit_rate']:.4f}",
+        )
+        # A warm query is a store traversal: it must stay a small
+        # fraction of one build of the graph it traverses, both
+        # measured in this run.
+        builds = c["graph_builds"]
+        per_build = c["build_wall_s"] / builds if builds else 0.0
+        share = c["warm_per_query_s"] / per_build if per_build else float("inf")
+        check(
+            f"{suite}.warm_vs_build",
+            share <= WARM_SHARE,
+            f"{c['warm_per_query_s'] * 1e3:.2f}ms per warm query is {share:.1%} "
+            f"of {per_build:.3f}s per build (limit {WARM_SHARE:.0%})",
         )
         # Pin the cold-vs-legacy inversion fixed: a cold build-and-query
         # pass must not cost more than re-exploring per query did.

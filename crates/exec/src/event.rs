@@ -1,8 +1,36 @@
 //! Execution events and the pattern language used to ask Test-1-style
 //! questions ("could this scenario happen next?").
 
-use crate::state::{Cell, State, TaskId};
+use crate::state::{Cell, State, Task, TaskId};
 use crate::value::{MessageVal, ObjId, Value};
+
+/// The parts of a state that [`EventPattern`]s and [`StateCond`]s read:
+/// a task by id, a task by label, a global. [`State`] implements it
+/// directly; the graph store implements it over a node's interned
+/// parts, borrowed in place, so a query reads a label or a counter
+/// without rebuilding the state.
+pub trait StateView {
+    /// The task at index `id`, if there is one.
+    fn task_at(&self, id: TaskId) -> Option<&Task>;
+    /// The first task carrying this display label.
+    fn labelled(&self, label: &str) -> Option<&Task>;
+    /// The current value of a global variable.
+    fn global(&self, name: &str) -> Option<&Value>;
+}
+
+impl StateView for State {
+    fn task_at(&self, id: TaskId) -> Option<&Task> {
+        self.tasks.get(id.0)
+    }
+
+    fn labelled(&self, label: &str) -> Option<&Task> {
+        self.task_by_label(label)
+    }
+
+    fn global(&self, name: &str) -> Option<&Value> {
+        self.globals.get(name)
+    }
+}
 
 /// One observable event, emitted by an atomic step.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -169,14 +197,12 @@ impl EventPattern {
         EventPattern { task_label: None, kind }
     }
 
-    /// Does `event` (emitted in `state`) match this pattern?
-    pub fn matches(&self, event: &Event, state: &State) -> bool {
-        if let Some(label) = &self.task_label {
-            if &state.task(event.task()).label != label {
-                return false;
-            }
-        }
-        match (&self.kind, event) {
+    /// Does `event` match this pattern? A task label resolves against
+    /// `state`: the state the event led to (for a stored edge, its
+    /// target node). The kind is checked first, so most events are
+    /// rejected without resolving a label.
+    pub fn matches(&self, event: &Event, state: &impl StateView) -> bool {
+        let kind = match (&self.kind, event) {
             (EventKindPattern::Called { func }, Event::Called { func: f, .. }) => func == f,
             (EventKindPattern::Returned { func }, Event::Returned { func: f, .. }) => func == f,
             (EventKindPattern::BlockedOnLocks, Event::BlockedOnLocks { .. }) => true,
@@ -194,7 +220,11 @@ impl EventPattern {
             (EventKindPattern::Released, Event::Released { .. }) => true,
             (EventKindPattern::Finished, Event::Finished { .. }) => true,
             _ => false,
-        }
+        };
+        kind && self
+            .task_label
+            .as_ref()
+            .is_none_or(|label| state.task_at(event.task()).is_some_and(|t| &t.label == label))
     }
 }
 
@@ -227,8 +257,8 @@ pub enum StateCond {
 
 impl StateCond {
     /// Evaluate against a state (`funcs` gives qualified names).
-    pub fn holds(&self, state: &State, funcs: &[crate::program::FuncInfo]) -> bool {
-        let task = |label: &str| state.task_by_label(label);
+    pub fn holds(&self, state: &impl StateView, funcs: &[crate::program::FuncInfo]) -> bool {
+        let task = |label: &str| state.labelled(label);
         match self {
             StateCond::InFunction { task_label, func } => {
                 task(task_label).is_some_and(|t| t.in_function(func, funcs))
@@ -244,7 +274,7 @@ impl StateCond {
             StateCond::ReceivedTotal { task_label, times } => {
                 task(task_label).is_some_and(|t| t.received.values().sum::<u32>() == *times)
             }
-            StateCond::GlobalEquals { name, value } => state.globals.get(name) == Some(value),
+            StateCond::GlobalEquals { name, value } => state.global(name) == Some(value),
             StateCond::TaskExists { task_label } => task(task_label).is_some(),
             StateCond::HoldsLock { task_label } => {
                 task(task_label).is_some_and(|t| !t.held.is_empty())

@@ -42,6 +42,27 @@
 //! Witness searches over the graph are plain FIFO BFS on the
 //! `(node, query-progress)` product, seeded in canonical order —
 //! witnesses are shortest and identical at every worker count.
+//!
+//! # Queries read the store in place
+//!
+//! A query never rebuilds a [`State`]. Setup conditions and the task
+//! labels of event patterns are evaluated on a node's interned parts,
+//! borrowed from the interner's pools through
+//! [`crate::event::StateView`]; an edge's events are matched with
+//! labels resolved against the edge's *target* node (for a corridor,
+//! the state at its end). Only witness replay under symmetry
+//! (`concretize_decisions`) and the spec checker's fairness counter,
+//! which must re-run the interpreter, materialize states.
+//!
+//! # Edge store
+//!
+//! Edges live in one flat array grouped by source node: nodes are
+//! expanded (and reloaded) in id order, so each node's out-edges are
+//! contiguous, and `edge_start[n]..edge_start[n + 1]` indexes them.
+//! Their events and picks live in two more flat arrays in the same
+//! order, each edge recording where its share ends, so an edge costs
+//! no allocation of its own. Every stored array is an exact-size boxed
+//! slice with no capacity slack.
 
 use crate::event::{Event, EventPattern, StateCond};
 use crate::explore::{
@@ -49,7 +70,7 @@ use crate::explore::{
     TerminalKind, TerminalSet, Visibility,
 };
 use crate::intern::{canonicalize_symmetry, symmetry_perm};
-use crate::intern::{fx_hash_of, FxHashMap, FxHashSet, Interner, StateSig};
+use crate::intern::{fx_hash_of, FxHashMap, FxHashSet, Interner, SigView, StateSig};
 use crate::interp::{Interp, Outcome};
 use crate::state::State;
 use crate::value::RuntimeError;
@@ -63,23 +84,30 @@ use std::time::Instant;
 /// while the wide middle fans out.
 const PAR_LEVEL_MIN: usize = 48;
 
-/// One stored transition.
-pub(crate) struct GraphEdge {
+/// One stored transition, as the flat edge array keeps it: the target
+/// and where the edge's events and picks end in the graph's `events`
+/// and `picks` arrays (they start where the previous edge's end). Its
+/// source is implicit: the node whose `edge_start` range holds it.
+struct EdgeRec {
+    target: u32,
+    events_end: u32,
+    picks_end: u32,
+}
+
+/// One stored transition, borrowed from the graph's flat arrays.
+#[derive(Clone, Copy)]
+pub(crate) struct GraphEdge<'g> {
     pub(crate) target: u32,
     /// Events emitted along the edge (several for a corridor).
-    pub(crate) events: Vec<Event>,
+    pub(crate) events: &'g [Event],
     /// Choice indices (into [`Interp::choices`] at each hop) realizing
     /// the edge; concatenated along a path they form a decision vector
     /// replayable by [`crate::schedule::ReplayScheduler`].
-    pub(crate) picks: Vec<usize>,
+    pub(crate) picks: &'g [usize],
 }
 
 struct NodeRec {
     sig: StateSig,
-    /// Sleep set the node was admitted with (0 unless the sleep layer
-    /// is on). In-memory only: reloads rebuild structure from picks
-    /// and never re-run the planner, so sleeps need not persist.
-    sleep: u128,
     /// Path depth in nodes (root = 1); mirrors the DFS's depth
     /// accounting for `max_depth`.
     depth: u32,
@@ -168,9 +196,17 @@ impl GraphMeta {
 pub struct StateGraph {
     interner: Interner,
     meta: GraphMeta,
-    nodes: Vec<NodeRec>,
-    /// Out-edges per node, in canonical expansion order.
-    edges: Vec<Vec<GraphEdge>>,
+    nodes: Box<[NodeRec]>,
+    /// Every edge, grouped by source node in id order and, within a
+    /// node, in canonical expansion order.
+    edges: Box<[EdgeRec]>,
+    /// `edge_start[n]..edge_start[n + 1]` are node `n`'s out-edges in
+    /// `edges` (one entry per node plus a final end offset).
+    edge_start: Box<[u32]>,
+    /// Every edge's events, concatenated in `edges` order.
+    events: Box<[Event]>,
+    /// Every edge's picks, concatenated in `edges` order.
+    picks: Box<[usize]>,
     terminals: BTreeSet<Terminal>,
     /// Build statistics; `truncated` records whether any bound was hit
     /// (all answers read from a truncated graph are non-exhaustive).
@@ -200,7 +236,11 @@ impl StateGraph {
         // recorded sleep is a subset of the arrival's.
         let mut visited: FxHashMap<StateSig, Vec<u32>> = FxHashMap::default();
         let mut nodes: Vec<NodeRec> = Vec::new();
-        let mut edges: Vec<Vec<GraphEdge>> = Vec::new();
+        // Sleep set each node was admitted with (0 unless the sleep
+        // layer is on). Build-only: reloads rebuild structure from
+        // picks and never re-run the planner, so sleeps are not kept.
+        let mut sleeps: Vec<u128> = Vec::new();
+        let mut edges = FlatEdges::default();
         let mut terminals = BTreeSet::new();
         let mut stats = Stats::default();
 
@@ -208,15 +248,8 @@ impl StateGraph {
         probe.normalize(reduction, &mut root, &mut stats);
         let root_sig = interner.intern(&root);
         visited.insert(root_sig, vec![0]);
-        nodes.push(NodeRec {
-            sig: root_sig,
-            sleep: 0,
-            depth: 1,
-            parent: 0,
-            via: 0,
-            terminal: None,
-        });
-        edges.push(Vec::new());
+        nodes.push(NodeRec { sig: root_sig, depth: 1, parent: 0, via: 0, terminal: None });
+        sleeps.push(0);
         stats.states_visited = 1;
         let mut frontier: Vec<u32> = vec![0];
 
@@ -225,7 +258,7 @@ impl StateGraph {
                 .iter()
                 .map(|&id| {
                     let n = &nodes[id as usize];
-                    (n.sig, n.depth, n.sleep)
+                    (n.sig, n.depth, sleeps[id as usize])
                 })
                 .collect();
             let outs =
@@ -233,6 +266,10 @@ impl StateGraph {
 
             let mut next_frontier: Vec<u32> = Vec::new();
             for (&id, out) in frontier.iter().zip(outs) {
+                // Levels run in id order and each frontier is the id
+                // range the previous merge created, so nodes are merged
+                // in id order.
+                edges.open(id);
                 let out = out?;
                 accrue(&mut stats, &out.stats);
                 if let Some(term) = out.terminal {
@@ -242,12 +279,10 @@ impl StateGraph {
                 }
                 for (i, (sig, events, picks)) in out.succs.into_iter().enumerate() {
                     let sleep = out.sleeps.get(i).copied().unwrap_or(0);
-                    let via = edges[id as usize].len() as u32;
+                    let via = edges.open_degree();
                     let covered = visited
                         .get(&sig)
-                        .and_then(|ids| {
-                            ids.iter().find(|&&t| nodes[t as usize].sleep & !sleep == 0)
-                        })
+                        .and_then(|ids| ids.iter().find(|&&t| sleeps[t as usize] & !sleep == 0))
                         .copied();
                     let target = match covered {
                         Some(t) => {
@@ -266,31 +301,27 @@ impl StateGraph {
                             let t = nodes.len() as u32;
                             let depth = nodes[id as usize].depth + 1;
                             visited.entry(sig).or_default().push(t);
-                            nodes.push(NodeRec {
-                                sig,
-                                sleep,
-                                depth,
-                                parent: id,
-                                via,
-                                terminal: None,
-                            });
-                            edges.push(Vec::new());
+                            nodes.push(NodeRec { sig, depth, parent: id, via, terminal: None });
+                            sleeps.push(sleep);
                             stats.states_visited += 1;
                             next_frontier.push(t);
                             t
                         }
                     };
-                    edges[id as usize].push(GraphEdge { target, events, picks });
+                    edges.events.extend(events);
+                    edges.picks.extend(picks);
+                    edges.close(target);
                 }
             }
             frontier = next_frontier;
         }
+        edges.finish(nodes.len());
 
         stats.note_contention(interner.contention());
         stats.wall = begin.elapsed();
         stats.build_wall = stats.wall;
         let meta = GraphMeta { digest: interp.digest(), limits, reduction, vis };
-        Ok(StateGraph { interner, meta, nodes, edges, terminals, stats })
+        Ok(edges.into_graph(interner, meta, nodes, terminals, stats))
     }
 
     /// Build statistics (the graph's cost card).
@@ -326,14 +357,39 @@ impl StateGraph {
     }
 
     /// Out-edges of a node, in canonical expansion order.
-    pub(crate) fn out_edges(&self, id: u32) -> &[GraphEdge] {
-        &self.edges[id as usize]
+    pub(crate) fn out_edges(&self, id: u32) -> impl ExactSizeIterator<Item = GraphEdge<'_>> {
+        let id = id as usize;
+        (self.edge_start[id] as usize..self.edge_start[id + 1] as usize).map(|e| self.edge(e))
+    }
+
+    /// Out-edge `ei` of node `id`.
+    pub(crate) fn out_edge(&self, id: u32, ei: u32) -> GraphEdge<'_> {
+        self.edge(self.edge_start[id as usize] as usize + ei as usize)
+    }
+
+    /// Edge `e` of the flat array, with its events and picks.
+    fn edge(&self, e: usize) -> GraphEdge<'_> {
+        let rec = &self.edges[e];
+        let (events_start, picks_start) = e
+            .checked_sub(1)
+            .map_or((0, 0), |p| (self.edges[p].events_end, self.edges[p].picks_end));
+        GraphEdge {
+            target: rec.target,
+            events: &self.events[events_start as usize..rec.events_end as usize],
+            picks: &self.picks[picks_start as usize..rec.picks_end as usize],
+        }
     }
 
     /// Materialize the stored state of a node (the quotient
     /// representative when symmetry is on).
     pub(crate) fn node_state(&self, id: u32) -> State {
         self.interner.materialize(self.nodes[id as usize].sig)
+    }
+
+    /// Read the stored state of a node in place, without materializing
+    /// it — what event patterns and setup conditions are evaluated on.
+    pub(crate) fn node_view(&self, id: u32) -> SigView<'_> {
+        self.interner.view(self.nodes[id as usize].sig)
     }
 
     /// [`StateGraph::concretize_decisions`] for sibling modules: turn
@@ -357,8 +413,8 @@ impl StateGraph {
         seen[0] = true;
         queue.push_back(0);
         while let Some(n) = queue.pop_front() {
-            let state = self.interner.materialize(self.nodes[n as usize].sig);
-            if setup.iter().all(|c| c.holds(&state, funcs)) {
+            let view = self.node_view(n);
+            if setup.iter().all(|c| c.holds(&view, funcs)) {
                 starts.push(n);
                 if starts.len() >= cap {
                     truncated = true;
@@ -366,7 +422,7 @@ impl StateGraph {
                 }
                 continue;
             }
-            for edge in &self.edges[n as usize] {
+            for edge in self.out_edges(n) {
                 if !seen[edge.target as usize] {
                     seen[edge.target as usize] = true;
                     queue.push_back(edge.target);
@@ -401,12 +457,6 @@ impl StateGraph {
             return (Answer::Yes { witness: Vec::new() }, Some(evidence));
         }
 
-        // Progress matching consults the destination state only to
-        // resolve task labels; label-free queries (the conformance
-        // fuzzer's Printed traces) skip materialization entirely.
-        let needs_state = query.iter().any(|p| p.task_label.is_some());
-        let placeholder = self.interner.materialize(self.nodes[0].sig);
-
         let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
         let mut parents: FxHashMap<(u32, u32), (u32, u32, u32)> = FxHashMap::default();
         let mut queue: VecDeque<(u32, u32)> = VecDeque::new();
@@ -416,17 +466,13 @@ impl StateGraph {
             }
         }
         while let Some((n, p)) = queue.pop_front() {
-            for (ei, edge) in self.edges[n as usize].iter().enumerate() {
-                let target_state = if needs_state {
-                    self.interner.materialize(self.nodes[edge.target as usize].sig)
-                } else {
-                    placeholder.clone()
-                };
+            for (ei, edge) in self.out_edges(n).enumerate() {
+                // Labels resolve against the edge's target, read in
+                // place; label-free patterns never touch it.
+                let target = self.node_view(edge.target);
                 let mut p2 = p;
-                for event in &edge.events {
-                    if (p2 as usize) < query.len()
-                        && query[p2 as usize].matches(event, &target_state)
-                    {
+                for event in edge.events {
+                    if (p2 as usize) < query.len() && query[p2 as usize].matches(event, &target) {
                         p2 += 1;
                     }
                 }
@@ -518,7 +564,7 @@ impl StateGraph {
         hops.reverse();
         let mut picks = Vec::new();
         for (parent, via) in hops {
-            picks.extend(&self.edges[parent as usize][via as usize].picks);
+            picks.extend(self.out_edge(parent, via).picks);
         }
         picks
     }
@@ -547,16 +593,16 @@ impl StateGraph {
         let mut decisions = setup_picks;
         let mut events = Vec::new();
         for &(node, ei) in &hops {
-            let edge = &self.edges[node as usize][ei as usize];
+            let edge = self.out_edge(node, ei);
             events.extend(edge.events.iter().cloned());
-            decisions.extend(&edge.picks);
+            decisions.extend(edge.picks);
         }
         // hops ends at the accepting edge's source node.
-        let source = hops.last().map(|&(n, ei)| self.edges[n as usize][ei as usize].target);
+        let source = hops.last().map(|&(n, ei)| self.out_edge(n, ei).target);
         let source = source.unwrap_or(start);
-        let last = &self.edges[source as usize][final_edge as usize];
+        let last = self.out_edge(source, final_edge);
         events.extend(last.events.iter().cloned());
-        decisions.extend(&last.picks);
+        decisions.extend(last.picks);
         (events.clone(), WitnessEvidence { decisions, setup_len, events })
     }
 
@@ -570,8 +616,8 @@ impl StateGraph {
     /// corrupted) and is rejected.
     fn content_hash(&self) -> u64 {
         let mut acc = String::new();
-        for edges in &self.edges {
-            for edge in edges {
+        for id in 0..self.nodes.len() as u32 {
+            for edge in self.out_edges(id) {
                 let _ = write!(acc, "{:?}|", edge.events);
             }
             acc.push(';');
@@ -637,7 +683,8 @@ impl StateGraph {
             };
             let _ = writeln!(out, "n {} {} {} {t}", node.depth, node.parent, node.via);
         }
-        for edges in &self.edges {
+        for id in 0..self.nodes.len() as u32 {
+            let edges = self.out_edges(id);
             let _ = write!(out, "e {}", edges.len());
             for edge in edges {
                 let _ = write!(out, " {}:", edge.target);
@@ -663,37 +710,39 @@ impl StateGraph {
     /// identically.
     ///
     /// Fails (with a description, never a panic) when the header is
-    /// malformed, the digest does not match `interp`, a pick is out of
-    /// range for its state, replayed targets diverge, or the content
-    /// hash disagrees with the recomputation — every way a file can be
-    /// stale, truncated, or corrupted.
+    /// malformed, a count is larger than the input left to hold it,
+    /// the digest does not match `interp`, a pick is out of range for
+    /// its state, replayed targets diverge, or the content hash
+    /// disagrees with the recomputation — every way a file can be
+    /// stale, truncated, or corrupted. No allocation is sized by a
+    /// count before that count is checked against the input.
     pub fn from_bytes(interp: &Interp, bytes: &[u8]) -> Result<StateGraph, String> {
         let begin = Instant::now();
         let text = std::str::from_utf8(bytes).map_err(|_| "not utf-8".to_string())?;
-        let mut lines = text.lines();
-        let mut next = |what: &str| lines.next().ok_or_else(|| format!("missing {what}"));
+        let mut lines = Lines { iter: text.lines(), left: text.lines().count() };
 
-        if next("magic")? != "concur-stategraph v2" {
+        if lines.next("magic")? != "concur-stategraph v2" {
             return Err("bad magic / unsupported version".into());
         }
-        let digest: u64 = field(next("digest")?, "digest")?;
+        let digest: u64 = field(lines.next("digest")?, "digest")?;
         if digest != interp.digest() {
             return Err(format!("digest mismatch: file {digest}, program {}", interp.digest()));
         }
-        let lim = fields(next("limits")?, "limits", 3)?;
+        let lim = fields(lines.next("limits")?, "limits", 3)?;
         let limits = Limits {
             max_states: lim[0] as usize,
             max_depth: lim[1] as usize,
             max_setup_states: lim[2] as usize,
         };
-        let red = fields(next("reduction")?, "reduction", 3)?;
+        let red = fields(lines.next("reduction")?, "reduction", 3)?;
         let reduction = Reduction { por: red[0] != 0, symmetry: red[1] != 0, sleep: red[2] != 0 };
-        let vis_len = field::<usize>(next("vis")?, "vis")?;
+        // One line per atom.
+        let vis_len = lines.count("vis", 1)?;
         let mut vis = Vec::with_capacity(vis_len);
         for _ in 0..vis_len {
-            vis.push(next("vis atom")?.to_string());
+            vis.push(lines.next("vis atom")?.to_string());
         }
-        let st = fields(next("stats")?, "stats", 10)?;
+        let st = fields(lines.next("stats")?, "stats", 10)?;
         let mut stats = Stats {
             states_visited: st[0] as usize,
             states_deduped: st[1] as usize,
@@ -707,13 +756,14 @@ impl StateGraph {
             truncated: st[9] != 0,
             ..Stats::default()
         };
-        let node_count = field::<usize>(next("nodes")?, "nodes")?;
+        // A node line and an edge line per node.
+        let node_count = lines.count("nodes", 2)?;
         if node_count == 0 {
             return Err("empty graph".into());
         }
         let mut nodes = Vec::with_capacity(node_count);
         for i in 0..node_count {
-            let line = next("node record")?;
+            let line = lines.next("node record")?;
             let rest = line.strip_prefix("n ").ok_or_else(|| format!("bad node line {i}"))?;
             let mut parts = rest.split(' ');
             let mut num = |what: &str| -> Result<u32, String> {
@@ -734,14 +784,7 @@ impl StateGraph {
                 return Err(format!("node {i}: parent {parent} not earlier"));
             }
             // `sig` is a placeholder until replay assigns the real one.
-            nodes.push(NodeRec {
-                sig: StateSig::PLACEHOLDER,
-                sleep: 0,
-                depth,
-                parent,
-                via,
-                terminal,
-            });
+            nodes.push(NodeRec { sig: StateSig::PLACEHOLDER, depth, parent, via, terminal });
         }
 
         // Replay: process nodes in id order; a node's signature is
@@ -755,17 +798,19 @@ impl StateGraph {
         }
         let mut sigs: Vec<Option<StateSig>> = vec![None; node_count];
         sigs[0] = Some(interner.intern(&root));
-        let mut edges: Vec<Vec<GraphEdge>> = Vec::with_capacity(node_count);
+        let mut edges = FlatEdges::default();
         for id in 0..node_count {
-            let line = next("edge record")?;
+            edges.open(id as u32);
+            let line = lines.next("edge record")?;
             let rest = line.strip_prefix("e ").ok_or_else(|| format!("bad edge line {id}"))?;
             let mut parts = rest.split(' ');
+            // The count sizes nothing: edges go to the flat store one
+            // by one, and a count the line cannot hold runs short.
             let count: usize = parts
                 .next()
                 .and_then(|p| p.parse().ok())
                 .ok_or_else(|| format!("bad edge count at {id}"))?;
             let src = sigs[id].ok_or_else(|| format!("node {id} unreachable in replay"))?;
-            let mut out = Vec::with_capacity(count);
             for _ in 0..count {
                 let part = parts.next().ok_or_else(|| format!("short edge line {id}"))?;
                 let (target, picks_txt) =
@@ -774,8 +819,6 @@ impl StateGraph {
                 if target as usize >= node_count {
                     return Err(format!("edge target {target} out of range at {id}"));
                 }
-                let mut picks = Vec::new();
-                let mut events = Vec::new();
                 let mut sig = src;
                 for pick_txt in picks_txt.split(',') {
                     let pick: usize = pick_txt.parse().map_err(|_| format!("bad pick at {id}"))?;
@@ -785,7 +828,7 @@ impl StateGraph {
                         .get(pick)
                         .ok_or_else(|| format!("pick {pick} out of range at node {id}"))?;
                     let mut next_state = state.clone();
-                    events.extend(
+                    edges.events.extend(
                         interp
                             .apply(&mut next_state, choice)
                             .map_err(|e| format!("replay fault at node {id}: {e}"))?,
@@ -798,7 +841,7 @@ impl StateGraph {
                         canonicalize_symmetry(&mut next_state);
                     }
                     sig = interner.intern(&next_state);
-                    picks.push(pick);
+                    edges.picks.push(pick);
                 }
                 match sigs[target as usize] {
                     None => sigs[target as usize] = Some(sig),
@@ -807,11 +850,11 @@ impl StateGraph {
                         return Err(format!("replay divergence: edge {id} -> {target}"));
                     }
                 }
-                out.push(GraphEdge { target, events, picks });
+                edges.close(target);
             }
-            edges.push(out);
         }
-        let tail = next("content hash")?;
+        edges.finish(node_count);
+        let tail = lines.next("content hash")?;
         let expected = tail
             .strip_prefix("content ")
             .and_then(|h| u64::from_str_radix(h, 16).ok())
@@ -822,7 +865,7 @@ impl StateGraph {
         let mut terminals = BTreeSet::new();
         for (i, node) in nodes.iter_mut().enumerate() {
             node.sig = sigs[i].ok_or_else(|| format!("node {i} unreachable in replay"))?;
-            if i > 0 && node.via as usize >= edges[node.parent as usize].len() {
+            if i > 0 && node.via >= edges.degree(node.parent) {
                 return Err(format!("node {i}: via out of range"));
             }
             if let Some(outcome) = node.terminal {
@@ -833,7 +876,7 @@ impl StateGraph {
         stats.wall = begin.elapsed();
         stats.build_wall = stats.wall;
         let meta = GraphMeta { digest, limits, reduction, vis };
-        let graph = StateGraph { interner, meta, nodes, edges, terminals, stats };
+        let graph = edges.into_graph(interner, meta, nodes, terminals, stats);
         let actual = graph.content_hash();
         if actual != expected {
             return Err(format!(
@@ -842,6 +885,109 @@ impl StateGraph {
         }
         Ok(graph)
     }
+}
+
+/// The persisted form's lines, counting those not yet read so that a
+/// header count can be checked against the input before it sizes an
+/// allocation.
+struct Lines<'a> {
+    iter: std::str::Lines<'a>,
+    left: usize,
+}
+
+impl<'a> Lines<'a> {
+    fn next(&mut self, what: &str) -> Result<&'a str, String> {
+        let line = self.iter.next().ok_or_else(|| format!("missing {what}"))?;
+        self.left -= 1;
+        Ok(line)
+    }
+
+    /// Parse a `key count` header announcing `count` records of
+    /// `per_record` lines each; a count the rest of the input cannot
+    /// hold is corrupt.
+    fn count(&mut self, key: &str, per_record: usize) -> Result<usize, String> {
+        let count: usize = field(self.next(key)?, key)?;
+        if count > self.left / per_record {
+            return Err(format!("{key} count {count} exceeds the {} lines left", self.left));
+        }
+        Ok(count)
+    }
+}
+
+/// The flat edge store under construction. A build or a reload opens
+/// each node in id order, so each node's out-edges are contiguous, and
+/// appends an edge's events and picks before closing the edge.
+#[derive(Default)]
+struct FlatEdges {
+    start: Vec<u32>,
+    recs: Vec<EdgeRec>,
+    events: Vec<Event>,
+    picks: Vec<usize>,
+}
+
+impl FlatEdges {
+    /// Start node `id`'s out-edges.
+    fn open(&mut self, id: u32) {
+        assert_eq!(self.start.len(), id as usize, "nodes open in id order");
+        self.start.push(offset(self.recs.len()));
+    }
+
+    /// Edges closed so far for the node opened last.
+    fn open_degree(&self) -> u32 {
+        offset(self.recs.len()) - self.start.last().expect("a node is open")
+    }
+
+    /// Record an edge to `target` owning the events and picks appended
+    /// since the previous edge.
+    fn close(&mut self, target: u32) {
+        let rec = EdgeRec {
+            target,
+            events_end: offset(self.events.len()),
+            picks_end: offset(self.picks.len()),
+        };
+        self.recs.push(rec);
+    }
+
+    /// End the store for a graph of `nodes` nodes; nodes never opened
+    /// (a truncated build leaves some unexpanded) own no edges.
+    fn finish(&mut self, nodes: usize) {
+        self.start.resize(nodes + 1, offset(self.recs.len()));
+    }
+
+    /// Out-degree of a node of a finished store.
+    fn degree(&self, node: u32) -> u32 {
+        self.start[node as usize + 1] - self.start[node as usize]
+    }
+
+    /// Assemble the graph from a finished store, dropping every array's
+    /// spare capacity.
+    fn into_graph(
+        self,
+        interner: Interner,
+        meta: GraphMeta,
+        nodes: Vec<NodeRec>,
+        terminals: BTreeSet<Terminal>,
+        stats: Stats,
+    ) -> StateGraph {
+        StateGraph {
+            interner,
+            meta,
+            nodes: nodes.into_boxed_slice(),
+            edges: self.recs.into_boxed_slice(),
+            edge_start: self.start.into_boxed_slice(),
+            events: self.events.into_boxed_slice(),
+            picks: self.picks.into_boxed_slice(),
+            terminals,
+            stats,
+        }
+    }
+}
+
+/// An index into a flat edge array as a stored `u32` offset. Each
+/// entry costs at least 4 bytes in memory and 2 in a store file, so no
+/// graph that fits either comes near the bound.
+fn offset(index: usize) -> u32 {
+    u32::try_from(index).expect("flat edge offsets fit u32")
 }
 
 /// Parse one `key value` header line into the value.
@@ -1007,6 +1153,17 @@ mod tests {
         .expect("builds")
     }
 
+    /// Same out-edges, node by node: targets, events and picks.
+    fn assert_same_edges(base: &StateGraph, other: &StateGraph, workers: usize) {
+        assert_eq!(other.edge_start, base.edge_start, "{workers} workers: out-degrees");
+        for e in 0..base.edges.len() {
+            let (ea, eb) = (base.edge(e), other.edge(e));
+            assert_eq!(ea.target, eb.target, "{workers} workers: edge target");
+            assert_eq!(ea.events, eb.events, "{workers} workers: edge events");
+            assert_eq!(ea.picks, eb.picks, "{workers} workers: edge picks");
+        }
+    }
+
     #[test]
     fn graph_terminals_match_direct_exploration() {
         for src in [figures::FIG3_TWO_PRINTS, figures::FIG5_MESSAGE_PASSING] {
@@ -1032,14 +1189,7 @@ mod tests {
             let other = graph(figures::FIG5_MESSAGE_PASSING, workers);
             assert_eq!(other.nodes.len(), base.nodes.len(), "{workers} workers: node count");
             assert_eq!(other.terminals, base.terminals, "{workers} workers: terminals");
-            for (a, b) in base.edges.iter().zip(&other.edges) {
-                assert_eq!(a.len(), b.len(), "{workers} workers: out-degree");
-                for (ea, eb) in a.iter().zip(b) {
-                    assert_eq!(ea.target, eb.target, "{workers} workers: edge target");
-                    assert_eq!(ea.events, eb.events, "{workers} workers: edge events");
-                    assert_eq!(ea.picks, eb.picks, "{workers} workers: edge picks");
-                }
-            }
+            assert_same_edges(&base, &other, workers);
         }
     }
 
@@ -1133,24 +1283,14 @@ ENDPARA
              or the parallel expansion path is untested"
         );
         assert!(
-            base.edges
-                .iter()
-                .flatten()
-                .any(|e| { e.events.iter().any(|ev| matches!(ev, Event::Received { .. })) }),
+            base.events.iter().any(|ev| matches!(ev, Event::Received { .. })),
             "edges must record Received events (the tag-sensitive case)"
         );
         for workers in [2, 4, 8] {
             let other = build(workers);
             assert_eq!(other.nodes.len(), base.nodes.len(), "{workers} workers: node count");
             assert_eq!(other.terminals, base.terminals, "{workers} workers: terminals");
-            for (a, b) in base.edges.iter().zip(&other.edges) {
-                assert_eq!(a.len(), b.len(), "{workers} workers: out-degree");
-                for (ea, eb) in a.iter().zip(b) {
-                    assert_eq!(ea.target, eb.target, "{workers} workers: edge target");
-                    assert_eq!(ea.events, eb.events, "{workers} workers: edge events");
-                    assert_eq!(ea.picks, eb.picks, "{workers} workers: edge picks");
-                }
-            }
+            assert_same_edges(&base, &other, workers);
         }
     }
 

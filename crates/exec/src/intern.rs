@@ -38,6 +38,7 @@
 //! Interning is per-exploration: signatures from different
 //! [`Interner`]s are meaningless to compare.
 
+use crate::event::StateView;
 use crate::state::{Cell, InFlight, Object, Output, State, Task, TaskId};
 use crate::value::Value;
 use std::cell::UnsafeCell;
@@ -908,6 +909,12 @@ impl Interner {
         }
     }
 
+    /// Read the state behind `sig` in place: its tasks and globals are
+    /// borrowed straight from the arenas, nothing is cloned.
+    pub fn view(&self, sig: StateSig) -> SigView<'_> {
+        SigView { pools: self, sig }
+    }
+
     /// Aggregate contention counters across the component pools.
     pub fn contention(&self) -> Contention {
         let mut c = self.globals.contention();
@@ -921,10 +928,62 @@ impl Interner {
     }
 }
 
+/// An interned state read in place ([`Interner::view`]): the
+/// [`StateView`] a graph query resolves labels, counters and globals
+/// against. Task records are exactly the ones [`Interner::materialize`]
+/// would clone, so every answer read here is the materialized state's.
+#[derive(Clone, Copy)]
+pub(crate) struct SigView<'a> {
+    pools: &'a Interner,
+    sig: StateSig,
+}
+
+impl SigView<'_> {
+    /// Pool ids of the state's task records, in task-index order.
+    fn task_ids(&self) -> &[u32] {
+        self.pools.task_lists.get(self.sig.tasks)
+    }
+}
+
+impl StateView for SigView<'_> {
+    fn task_at(&self, id: TaskId) -> Option<&Task> {
+        self.task_ids().get(id.0).map(|&t| self.pools.task.get(t))
+    }
+
+    fn labelled(&self, label: &str) -> Option<&Task> {
+        self.task_ids().iter().map(|&t| self.pools.task.get(t)).find(|t| t.label == label)
+    }
+
+    fn global(&self, name: &str) -> Option<&Value> {
+        self.pools.globals.get(self.sig.globals).get(name)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::interp::{Choice, Interp};
+
+    /// The in-place view of `sig` reads exactly what `materialize`
+    /// returns: every task by id and by label, and every global.
+    fn assert_view_agrees(pools: &Interner, sig: StateSig) {
+        let state = pools.materialize(sig);
+        let view = pools.view(sig);
+        for (i, task) in state.tasks.iter().enumerate() {
+            assert_eq!(view.task_at(TaskId(i)), Some(task), "task {i} by id");
+            assert_eq!(
+                view.labelled(&task.label),
+                state.task_by_label(&task.label),
+                "task {i} by label"
+            );
+        }
+        assert_eq!(view.task_at(TaskId(state.tasks.len())), None, "no task past the end");
+        assert_eq!(view.labelled("no such task"), None);
+        for (name, value) in &state.globals {
+            assert_eq!(view.global(name), Some(value), "global {name}");
+        }
+        assert_eq!(view.global("no such global"), None);
+    }
 
     #[test]
     fn intern_roundtrips_and_dedups() {
@@ -943,6 +1002,17 @@ mod tests {
         let sig1 = pools.intern(&s);
         assert_ne!(sig0, sig1, "different states get different signatures");
         assert_eq!(pools.materialize(sig1), s);
+
+        // Step main into the PARA so there are several tasks to look up.
+        while s.tasks.len() < 3 {
+            interp.apply(&mut s, &Choice::Step(crate::state::TaskId(0))).unwrap();
+        }
+        s.steps = 0;
+        let sig2 = pools.intern(&s);
+        assert_eq!(pools.materialize(sig2), s);
+        for sig in [sig0, sig1, sig2] {
+            assert_view_agrees(&pools, sig);
+        }
     }
 
     #[test]

@@ -155,6 +155,22 @@ fn env_usize(key: &str) -> Option<usize> {
     std::env::var(key).ok().and_then(|v| v.trim().parse().ok())
 }
 
+/// Run `f` — a build or a disk reload — catching a panic as its
+/// message. The builder's flight must publish whatever happens: a
+/// panic that escaped would leave the key `Building` forever, and
+/// every waiter parked on it — and every later query on the key —
+/// would block. Catching the unwind is sound because the partial graph
+/// is dropped with it and the builder holds no server lock meanwhile.
+fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string())
+    })
+}
+
 /// Per-tenant lifetime counters plus the current residency snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantStats {
@@ -472,29 +488,19 @@ impl Server {
     }
 
     /// Run the `build_hold` hook and the build, turning a panic in
-    /// either into a typed error. The flight must publish whatever
-    /// happens: a panic that escaped here would leave the key
-    /// `Building` forever, and every waiter parked on it — and every
-    /// later query on the key — would block. Catching the unwind is
-    /// sound because the partial graph is dropped with it and the
-    /// builder holds no server lock at this point.
+    /// either into a typed error.
     fn guarded_build(
         &self,
         build: impl FnOnce() -> Result<StateGraph, RuntimeError>,
     ) -> Result<StateGraph, RuntimeError> {
         let hold = self.inner.config.build_hold.as_deref();
-        std::panic::catch_unwind(AssertUnwindSafe(|| {
+        guarded(|| {
             if let Some(hold) = hold {
                 hold();
             }
             build()
-        }))
-        .unwrap_or_else(|payload| {
-            let reason = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("non-string panic payload");
+        })
+        .unwrap_or_else(|reason| {
             Err(RuntimeError::new(format!("graph build panicked: {reason}"), Span::SYNTH))
         })
     }
@@ -658,13 +664,13 @@ impl Server {
     }
 
     /// Try to serve `key` from the disk store. Any failure — missing
-    /// file, stale digest, corrupt bytes, metadata mismatch — falls
-    /// through to a fresh build; the store is an accelerator, never an
-    /// authority.
+    /// file, stale digest, corrupt bytes, metadata mismatch, even a
+    /// panicking reload — falls through to a fresh build; the store is
+    /// an accelerator, never an authority.
     fn try_disk_load(&self, key: &GraphKey, interp: &Interp) -> Option<StateGraph> {
         let path = self.disk_path(key)?;
         let bytes = std::fs::read(path).ok()?;
-        let graph = StateGraph::from_bytes(interp, &bytes).ok()?;
+        let graph = guarded(|| StateGraph::from_bytes(interp, &bytes)).ok()?.ok()?;
         (*graph.meta() == key.meta()).then_some(graph)
     }
 
@@ -689,5 +695,17 @@ impl Server {
         if std::fs::write(&tmp, graph.to_bytes()).is_ok() {
             let _ = std::fs::rename(&tmp, &path);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::guarded;
+
+    #[test]
+    fn guarded_turns_a_panic_into_its_message() {
+        assert_eq!(guarded(|| 7), Ok(7));
+        assert_eq!(guarded(|| -> u8 { panic!("static message") }), Err("static message".into()));
+        assert_eq!(guarded(|| -> u8 { panic!("formatted {}", 7) }), Err("formatted 7".into()));
     }
 }

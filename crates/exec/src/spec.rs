@@ -44,12 +44,11 @@
 //! graph (the session pins `Reduction::NONE`), and it may not appear
 //! under negation.
 
-use crate::event::{Event, EventKindPattern, EventPattern};
+use crate::event::{Event, EventKindPattern, EventPattern, StateView};
 use crate::explore::TerminalKind;
 use crate::graph::{GraphEdge, StateGraph, WitnessEvidence};
 use crate::intern::{fx_hash_of, FxHashMap, FxHashSet};
 use crate::interp::{Choice, Interp};
-use crate::state::State;
 use std::collections::VecDeque;
 
 /// Largest spec alphabet (distinct event patterns); symbols are
@@ -636,15 +635,9 @@ impl Monitor {
         self.starvation.as_ref()
     }
 
-    /// Whether symbol computation must resolve task labels (requires a
-    /// materialized state).
-    pub fn needs_state(&self) -> bool {
-        self.alphabet.iter().any(|p| p.task_label.is_some())
-    }
-
     /// The symbol of one event: the bitmask of alphabet patterns it
     /// matches (`state` resolves task labels).
-    pub fn symbol(&self, event: &Event, state: &State) -> u16 {
+    pub fn symbol(&self, event: &Event, state: &impl StateView) -> u16 {
         self.alphabet
             .iter()
             .enumerate()
@@ -770,8 +763,6 @@ pub struct SpecReport {
 /// build worker count.
 pub(crate) fn check_on_graph(graph: &StateGraph, interp: &Interp, monitor: &Monitor) -> SpecReport {
     let exhaustive = !graph.truncated();
-    let needs_state = monitor.needs_state();
-    let placeholder = graph.node_state(0);
     let starve = StarvationCtx::new(graph, interp, monitor.starvation());
 
     type Prod = (u32, u32, u32);
@@ -790,8 +781,8 @@ pub(crate) fn check_on_graph(graph: &StateGraph, interp: &Interp, monitor: &Moni
         let mut decisions = Vec::new();
         let mut events = Vec::new();
         for &(node, ei) in &hops {
-            let edge = &graph.out_edges(node)[ei as usize];
-            decisions.extend(&edge.picks);
+            let edge = graph.out_edge(node, ei);
+            decisions.extend(edge.picks);
             events.extend(edge.events.iter().cloned());
         }
         let decisions = graph.concretize(interp, decisions);
@@ -836,12 +827,12 @@ pub(crate) fn check_on_graph(graph: &StateGraph, interp: &Interp, monitor: &Moni
     queue.push_back(root);
 
     while let Some((node, q, ctr)) = queue.pop_front() {
-        for (ei, edge) in graph.out_edges(node).iter().enumerate() {
-            let target_state =
-                if needs_state { graph.node_state(edge.target) } else { placeholder.clone() };
+        for (ei, edge) in graph.out_edges(node).enumerate() {
+            // Labels resolve against the edge's target, read in place.
+            let target = graph.node_view(edge.target);
             let mut q2 = q as usize;
-            for event in &edge.events {
-                let sym = monitor.symbol(event, &target_state);
+            for event in edge.events {
+                let sym = monitor.symbol(event, &target);
                 q2 = monitor.dfa.delta[q2][sym as usize];
             }
             let ctr2 = starve.fold(node, ei, edge, ctr);
@@ -893,13 +884,13 @@ impl<'g> StarvationCtx<'g> {
     /// reset when the watched task acts, increment when it sits
     /// enabled while another acts, hold when it is disabled. Counters
     /// cap at `k + 1` (the violation threshold) to bound the product.
-    fn fold(&self, node: u32, ei: usize, edge: &GraphEdge, ctr: u32) -> u32 {
+    fn fold(&self, node: u32, ei: usize, edge: GraphEdge<'_>, ctr: u32) -> u32 {
         let Some(label) = &self.label else { return 0 };
         let mut effects = self.effects.borrow_mut();
         let hops = effects.entry((node, ei as u32)).or_insert_with(|| {
             let mut state = self.graph.node_state(node);
             let mut out = Vec::with_capacity(edge.picks.len());
-            for &pick in &edge.picks {
+            for &pick in edge.picks {
                 let choices = self.interp.choices(&state);
                 let acts = |c: &Choice| match c {
                     Choice::Step(t) => *t,
@@ -1106,7 +1097,7 @@ mod tests {
         for edge in graph.out_edges(node) {
             let target_state = state_of(edge.target);
             let before = prefix.len();
-            for event in &edge.events {
+            for event in edge.events {
                 prefix.push(monitor.symbol(event, &target_state));
             }
             enumerate_traces(graph, monitor, edge.target, prefix, out);

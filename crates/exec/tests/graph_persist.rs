@@ -186,6 +186,26 @@ fn corrupt_or_stale_store_files_fall_back_to_a_fresh_build() {
     let files = store_files(&dir);
     assert_eq!(files.len(), 1);
     let good = std::fs::read(&files[0]).expect("readable");
+    // Rewrite the count of the first line starting with `prefix` (its
+    // first number) to a huge one: a header that must be checked
+    // against the input before it sizes an allocation.
+    let huge_count = |prefix: &str| -> Vec<u8> {
+        let text = String::from_utf8(good.clone()).expect("store files are utf-8");
+        let mut done = false;
+        let lines: Vec<String> = text
+            .lines()
+            .map(|line| match line.strip_prefix(prefix) {
+                Some(rest) if !done => {
+                    done = true;
+                    let tail = rest.split_once(' ').map_or("", |(_, tail)| tail);
+                    format!("{prefix}1152921504606846976 {tail}").trim_end().to_string()
+                }
+                _ => line.to_string(),
+            })
+            .collect();
+        assert!(done, "store file has a `{prefix}` line");
+        (lines.join("\n") + "\n").into_bytes()
+    };
 
     for (label, bytes) in [
         ("garbage", b"not a graph at all\n".to_vec()),
@@ -198,6 +218,11 @@ fn corrupt_or_stale_store_files_fall_back_to_a_fresh_build() {
             b[last] = if b[last] == b'0' { b'1' } else { b'0' };
             b
         }),
+        // Counts far past what the file holds: rejected before they
+        // size an allocation, never a panic or an abort.
+        ("huge-node-count", huge_count("nodes ")),
+        ("huge-vis-count", huge_count("vis ")),
+        ("huge-edge-count", huge_count("e ")),
     ] {
         std::fs::write(&files[0], &bytes).expect("vandalize");
         let server = Server::new(ServerConfig::new().disk(&dir));

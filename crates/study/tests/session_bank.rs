@@ -4,7 +4,7 @@
 //! build worker counts and cache states.
 
 use concur_exec::explore::Limits;
-use concur_exec::{QueryCache, Session};
+use concur_exec::{Answer, QueryCache, Session};
 use concur_study::questions::{answered_bank, bank, interp_for};
 use std::sync::Arc;
 
@@ -84,6 +84,57 @@ fn bank_answers_worker_invariant_and_correct() {
                 }
             }
         }
+    }
+}
+
+/// A YES witness's `(setup_len, decisions)`.
+type Route = (usize, &'static [usize]);
+
+/// Each bank question's verdict and witness route, as the default
+/// session answers it: `(id, verdict, Some((setup_len, decisions)))`
+/// for a YES. However the query layer traverses the store, the
+/// shortest witness it finds, and the route to its setup state, must
+/// not move.
+#[rustfmt::skip]
+const PINNED_WITNESSES: [(&str, &str, Option<Route>); 16] = [
+    ("SM-a", "yes", Some((0, &[0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 1, 0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0]))),
+    ("SM-b", "no", None),
+    ("SM-m", "yes", Some((18, &[0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1]))),
+    ("SM-c", "yes", Some((21, &[0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 0, 1, 2, 2, 2, 2, 2, 2, 2, 0, 0, 0]))),
+    ("SM-d", "yes", Some((0, &[0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 2, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0, 1]))),
+    ("SM-e", "yes", Some((0, &[0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 1, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0]))),
+    ("SM-f", "unreachable", None),
+    ("SM-g", "yes", Some((19, &[0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 1, 2, 2, 2, 2, 2, 2, 0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 2, 2, 1, 1, 0, 0, 0, 0, 1]))),
+    ("MP-m", "yes", Some((40, &[0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2]))),
+    ("MP-a", "yes", Some((0, &[0, 0, 0, 0, 0, 1, 1, 3, 1, 1, 2, 1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 2, 1, 1, 1, 1, 1, 1, 0]))),
+    ("MP-b", "no", None),
+    ("MP-c", "yes", Some((0, &[0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 1, 1, 1, 0, 0, 0, 2, 0, 0, 0, 0, 2]))),
+    ("MP-d", "yes", Some((0, &[0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2]))),
+    ("MP-e", "yes", Some((0, &[0, 0, 0, 0, 0, 1, 1, 3, 1, 1, 2, 1, 1, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0]))),
+    ("MP-f", "yes", Some((0, &[0, 0, 0, 0, 0, 1, 1, 3, 1, 1, 2, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0]))),
+    ("MP-g", "yes", Some((23, &[0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 0, 2, 1, 2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]))),
+];
+
+/// The pinned witnesses are what the session answers today.
+#[test]
+fn bank_witnesses_match_the_pinned_table() {
+    let bank = bank();
+    assert_eq!(bank.len(), PINNED_WITNESSES.len());
+    for (q, &(id, verdict, route)) in bank.iter().zip(&PINNED_WITNESSES) {
+        assert_eq!(q.id, id, "the table follows the bank's order");
+        let (answer, evidence, _) = Session::with_limits(interp_for(q.section), Limits::default())
+            .with_cache(Arc::new(QueryCache::new()))
+            .can_happen_with_evidence(&q.setup, &q.scenario)
+            .expect("explores");
+        let got = match answer {
+            Answer::Yes { .. } => "yes",
+            Answer::No { exhaustive: true } => "no",
+            Answer::SetupUnreachable { exhaustive: true } => "unreachable",
+            other => panic!("{id}: non-exhaustive answer {other:?}"),
+        };
+        assert_eq!(got, verdict, "{id}: verdict");
+        let got_route = evidence.as_ref().map(|e| (e.setup_len, e.decisions.as_slice()));
+        assert_eq!(got_route, route, "{id}: witness route");
     }
 }
 
