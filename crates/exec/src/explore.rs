@@ -26,9 +26,7 @@
 //!   commutation argument does not protect.
 
 use crate::event::{Event, EventPattern, StateCond};
-use crate::intern::{
-    canonicalize_live, canonicalize_symmetry, ClaimTable, FxHashSet, Interner, StateSig,
-};
+use crate::intern::{canonicalize_live, ClaimTable, FxHashSet, Interner, StateSig};
 use crate::interp::{Choice, Interp, Outcome};
 use crate::state::{State, TaskId, TaskStatus};
 use crate::value::RuntimeError;
@@ -433,7 +431,8 @@ pub(crate) type AmpleOut = (Vec<Succ>, Vec<State>, Vec<SleepSet>, usize);
 /// is what lets the DFS serve as the builder's reference: both run the
 /// identical commutation and proviso checks.
 pub(crate) trait ExploreCtx {
-    fn intern(&mut self, state: &State) -> StateSig;
+    /// The exploration's interner: component pools and orbit keys.
+    fn pools(&self) -> &Interner;
     /// Whether `(sig, progress)` is already a claimed/visited node.
     fn is_visited(&self, key: (StateSig, usize)) -> bool;
 }
@@ -473,8 +472,8 @@ impl SerialCtx {
 }
 
 impl ExploreCtx for SerialCtx {
-    fn intern(&mut self, state: &State) -> StateSig {
-        self.pools.intern(state)
+    fn pools(&self) -> &Interner {
+        &self.pools
     }
 
     fn is_visited(&self, key: (StateSig, usize)) -> bool {
@@ -819,7 +818,7 @@ impl<'i> Explorer<'i> {
         visit: VisitFn<'_>,
     ) -> Result<Option<Vec<Event>>, RuntimeError> {
         let mut start = start;
-        self.normalize(reduction, &mut start, stats);
+        self.normalize(reduction, &ctx.pools, &mut start, stats);
         let start_sig = ctx.pools.intern(&start);
         if !ctx.claim((start_sig, 0), 0) {
             stats.states_deduped += 1;
@@ -894,7 +893,7 @@ impl<'i> Explorer<'i> {
                     // sleep mask was computed in the parent's task
                     // numbering and must follow the canonicalizing
                     // permutation into the child.
-                    let perm = self.normalize(reduction, &mut next_state, stats);
+                    let perm = self.normalize(reduction, &ctx.pools, &mut next_state, stats);
                     let sleep = remap_sleep(sleep, perm.as_deref());
                     stats.transitions += 1;
                     let sig = ctx.pools.intern(&next_state);
@@ -1011,14 +1010,14 @@ impl<'i> Explorer<'i> {
                 // defer, so take it eagerly — it may seed a corridor.
                 let mut next = state.clone();
                 let events = self.interp.apply(&mut next, &choices[0])?;
-                let perm = self.normalize(reduction, &mut next, stats);
+                let perm = self.normalize(reduction, ctx.pools(), &mut next, stats);
                 stats.transitions += 1;
                 let child = remap_sleep(
                     self.filter_sleep_by_conflict(state, &choices, sleep, &choices[0]),
                     perm.as_deref(),
                 );
                 let sleeps = if child == 0 { Vec::new() } else { vec![child] };
-                Some((vec![(ctx.intern(&next), events, vec![0])], vec![next], sleeps, 0))
+                Some((vec![(ctx.pools().intern(&next), events, vec![0])], vec![next], sleeps, 0))
             } else {
                 None
             };
@@ -1054,12 +1053,13 @@ impl<'i> Explorer<'i> {
     pub(crate) fn normalize(
         &self,
         reduction: Reduction,
+        pools: &Interner,
         state: &mut State,
         stats: &mut Stats,
     ) -> Option<Vec<usize>> {
         state.steps = 0;
         if reduction.symmetry {
-            if let Some(perm) = canonicalize_symmetry(state) {
+            if let Some(perm) = pools.canonicalize_symmetry(state) {
                 stats.states_canonicalized += 1;
                 return Some(perm);
             }
@@ -1251,9 +1251,9 @@ impl<'i> Explorer<'i> {
                         // The predecessor state is dead once the hop
                         // commits, so apply in place — no clone.
                         let evs = self.interp.apply(&mut cur, &choices[0])?;
-                        self.normalize(reduction, &mut cur, stats);
+                        self.normalize(reduction, ctx.pools(), &mut cur, stats);
                         stats.transitions += 1;
-                        Some((ctx.intern(&cur), evs, vec![0], None))
+                        Some((ctx.pools().intern(&cur), evs, vec![0], None))
                     } else {
                         None
                     }
@@ -1383,8 +1383,8 @@ impl<'i> Explorer<'i> {
             for &i in idxs {
                 let mut next = state.clone();
                 let events = self.interp.apply(&mut next, &choices[i])?;
-                let perm = self.normalize(reduction, &mut next, stats);
-                let sig = ctx.intern(&next);
+                let perm = self.normalize(reduction, ctx.pools(), &mut next, stats);
+                let sig = ctx.pools().intern(&next);
                 if sleep != 0 {
                     // Carry over each sleeper whose step commutes
                     // with the one taken. Ample expansion adds no new

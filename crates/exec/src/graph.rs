@@ -69,7 +69,6 @@ use crate::explore::{
     Answer, Expansion, ExploreCtx, Explorer, Limits, Reduction, Stats, Succ, Terminal,
     TerminalKind, TerminalSet, Visibility,
 };
-use crate::intern::{canonicalize_symmetry, symmetry_perm};
 use crate::intern::{fx_hash_of, FxHashMap, FxHashSet, Interner, SigView, StateSig};
 use crate::interp::{Interp, Outcome};
 use crate::state::State;
@@ -155,8 +154,8 @@ struct FrozenCtx<'a> {
 }
 
 impl ExploreCtx for FrozenCtx<'_> {
-    fn intern(&mut self, state: &State) -> StateSig {
-        self.interner.intern(state)
+    fn pools(&self) -> &Interner {
+        self.interner
     }
 
     fn is_visited(&self, key: (StateSig, usize)) -> bool {
@@ -245,7 +244,7 @@ impl StateGraph {
         let mut stats = Stats::default();
 
         let mut root = interp.initial_state();
-        probe.normalize(reduction, &mut root, &mut stats);
+        probe.normalize(reduction, &interner, &mut root, &mut stats);
         let root_sig = interner.intern(&root);
         visited.insert(root_sig, vec![0]);
         nodes.push(NodeRec { sig: root_sig, depth: 1, parent: 0, via: 0, terminal: None });
@@ -445,13 +444,31 @@ impl StateGraph {
         query: &[EventPattern],
         max_setup_states: usize,
     ) -> (Answer, Option<WitnessEvidence>) {
+        let (answer, mut evidence) = self.stored_witness(interp, setup, query, max_setup_states);
+        if let Some(evidence) = &mut evidence {
+            let stored = std::mem::take(&mut evidence.decisions);
+            evidence.decisions = self.concretize_decisions(interp, stored);
+        }
+        (answer, evidence)
+    }
+
+    /// [`StateGraph::can_happen`] before concretization: the evidence's
+    /// decisions are the stored picks, which index the choice lists of
+    /// the stored (orbit representative) states.
+    fn stored_witness(
+        &self,
+        interp: &Interp,
+        setup: &[StateCond],
+        query: &[EventPattern],
+        max_setup_states: usize,
+    ) -> (Answer, Option<WitnessEvidence>) {
         let (starts, setup_trunc) = self.setup_nodes(interp, setup, max_setup_states);
         let exhaustive = !(self.stats.truncated || setup_trunc);
         if starts.is_empty() {
             return (Answer::SetupUnreachable { exhaustive }, None);
         }
         if query.is_empty() {
-            let decisions = self.concretize_decisions(interp, self.picks_to_root_path(starts[0]));
+            let decisions = self.picks_to_root_path(starts[0]);
             let setup_len = decisions.len();
             let evidence = WitnessEvidence { decisions, setup_len, events: Vec::new() };
             return (Answer::Yes { witness: Vec::new() }, Some(evidence));
@@ -479,9 +496,7 @@ impl StateGraph {
                 if p2 as usize == query.len() {
                     // Realized (possibly mid-edge): like the DFS, the
                     // witness carries the full final edge.
-                    let (witness, mut evidence) =
-                        self.assemble_witness(&parents, (n, p), ei as u32);
-                    evidence.decisions = self.concretize_decisions(interp, evidence.decisions);
+                    let (witness, evidence) = self.assemble_witness(&parents, (n, p), ei as u32);
                     return (Answer::Yes { witness }, Some(evidence));
                 }
                 if seen.insert((edge.target, p2)) {
@@ -501,8 +516,10 @@ impl StateGraph {
     /// concrete state differs from the stored canonical one by the
     /// canonicalizing task permutation; the stored pick's choice is
     /// mapped through the inverse permutation and located in the
-    /// concrete choice list. Identity (and free) when the graph was
-    /// built without symmetry.
+    /// concrete choice list. Each hop canonicalizes a copy of the
+    /// concrete state once, with the orbit keys the graph's interner
+    /// already holds, and reads the stored pick's choice off that copy.
+    /// Identity (and free) when the graph was built without symmetry.
     fn concretize_decisions(&self, interp: &Interp, decisions: Vec<usize>) -> Vec<usize> {
         if !self.meta.reduction.symmetry {
             return decisions;
@@ -511,11 +528,10 @@ impl StateGraph {
         let mut concrete = interp.initial_state();
         for pick in decisions {
             let concrete_choices = interp.choices(&concrete);
-            let concrete_pick = match symmetry_perm(&concrete) {
+            let mut canon = concrete.clone();
+            let concrete_pick = match self.interner.canonicalize_symmetry(&mut canon) {
                 None => pick,
                 Some(perm) => {
-                    let mut canon = concrete.clone();
-                    canonicalize_symmetry(&mut canon);
                     let wanted = &interp.choices(&canon)[pick];
                     let canon_task = match wanted {
                         crate::interp::Choice::Step(t) => t.0,
@@ -794,7 +810,7 @@ impl StateGraph {
         let mut root = interp.initial_state();
         root.steps = 0;
         if reduction.symmetry {
-            canonicalize_symmetry(&mut root);
+            interner.canonicalize_symmetry(&mut root);
         }
         let mut sigs: Vec<Option<StateSig>> = vec![None; node_count];
         sigs[0] = Some(interner.intern(&root));
@@ -838,7 +854,7 @@ impl StateGraph {
                     // representatives the build interned, or targets
                     // spuriously diverge.
                     if reduction.symmetry {
-                        canonicalize_symmetry(&mut next_state);
+                        interner.canonicalize_symmetry(&mut next_state);
                     }
                     sig = interner.intern(&next_state);
                     edges.picks.push(pick);
@@ -1117,7 +1133,7 @@ fn expand_node(
                 let events = probe.interp.apply(&mut next, choice)?;
                 // Child sleep masks are in the parent's task numbering;
                 // follow the canonicalizing permutation into the child.
-                let perm = probe.normalize(reduction, &mut next, &mut stats);
+                let perm = probe.normalize(reduction, interner, &mut next, &mut stats);
                 if let Some(z) = sleeps.get(i) {
                     remapped.push(crate::explore::remap_sleep(*z, perm.as_deref()));
                 }
@@ -1162,6 +1178,15 @@ mod tests {
             assert_eq!(ea.events, eb.events, "{workers} workers: edge events");
             assert_eq!(ea.picks, eb.picks, "{workers} workers: edge picks");
         }
+    }
+
+    /// Node count of the graph's widest BFS level.
+    fn peak_level_width(graph: &StateGraph) -> usize {
+        let mut width = FxHashMap::default();
+        for node in &graph.nodes {
+            *width.entry(node.depth).or_insert(0usize) += 1;
+        }
+        width.values().copied().max().unwrap_or(0)
     }
 
     #[test]
@@ -1272,11 +1297,7 @@ ENDPARA
             .expect("builds")
         };
         let base = build(1);
-        let mut width = FxHashMap::default();
-        for node in &base.nodes {
-            *width.entry(node.depth).or_insert(0usize) += 1;
-        }
-        let peak = width.values().copied().max().unwrap_or(0);
+        let peak = peak_level_width(&base);
         assert!(
             peak >= PAR_LEVEL_MIN,
             "peak level width {peak} must reach PAR_LEVEL_MIN={PAR_LEVEL_MIN} \
@@ -1319,5 +1340,73 @@ ENDPARA
         assert!(a.truncated());
         assert_eq!(a.node_count(), b.node_count());
         assert!(a.node_count() <= 3);
+    }
+
+    /// A symmetric build under the full reduction stack serializes to
+    /// the same bytes at every worker count. dining(5)'s widest level
+    /// crosses [`PAR_LEVEL_MIN`], so workers canonicalize concurrently
+    /// and race to insert the same records into the shared orbit-key
+    /// memo; a race may render a key twice but must never change a
+    /// representative.
+    #[test]
+    fn symmetric_graph_is_byte_identical_across_worker_counts() {
+        let interp = Interp::from_source(&figures::dining(5)).expect("compiles");
+        let build = |workers| {
+            StateGraph::build(
+                &interp,
+                Limits::default(),
+                Reduction::FULL,
+                Visibility::NONE,
+                workers,
+                Vec::new(),
+            )
+            .expect("builds")
+        };
+        let base = build(1);
+        let peak = peak_level_width(&base);
+        assert!(
+            peak >= PAR_LEVEL_MIN,
+            "peak level width {peak} must reach PAR_LEVEL_MIN={PAR_LEVEL_MIN} \
+             or the parallel expansion path is untested"
+        );
+        assert!(base.stats().states_canonicalized > 0, "symmetry fired");
+        let bytes = base.to_bytes();
+        for workers in [2, 4, 8] {
+            assert!(build(workers).to_bytes() == bytes, "{workers} workers: graph bytes differ");
+        }
+    }
+
+    /// Witnesses read off a quotient graph need concretization: on
+    /// dining(3) some stored pick indexes a representative's choice
+    /// list at a position the concrete state's list does not, so
+    /// replaying the stored picks verbatim would run a different
+    /// schedule. (The concretized witnesses are replayed end to end in
+    /// `tests/quotient_witness.rs`.)
+    #[test]
+    fn quotient_witness_picks_are_remapped_by_concretization() {
+        use crate::event::EventKindPattern;
+        let interp = Interp::from_source(&figures::dining(3)).expect("compiles");
+        let phil_returns = EventPattern::any(EventKindPattern::Returned { func: "phil".into() });
+        let queries = [vec![phil_returns.clone()], vec![phil_returns; 3]];
+        let mut remapped = 0;
+        for query in &queries {
+            let visibility = Visibility { patterns: query, conds: &[] };
+            let graph = StateGraph::build(
+                &interp,
+                Limits::default(),
+                Reduction::FULL,
+                visibility,
+                1,
+                Vec::new(),
+            )
+            .expect("builds");
+            let (answer, evidence) = graph.stored_witness(&interp, &[], query, usize::MAX);
+            assert!(answer.is_yes(), "{} phil returns can happen", query.len());
+            let stored = evidence.expect("a YES carries evidence").decisions;
+            let concrete = graph.concretize_decisions(&interp, stored.clone());
+            assert_eq!(concrete.len(), stored.len(), "one concrete pick per stored pick");
+            remapped += stored.iter().zip(&concrete).filter(|(s, c)| s != c).count();
+        }
+        assert!(remapped > 0, "no stored pick was remapped: concretization went untested");
     }
 }

@@ -35,6 +35,11 @@
 //!   under. For plain membership exactly one `claim` per key ever
 //!   sees `true`, from however many threads.
 //!
+//! The same table and arena also hold each exploration's orbit-key
+//! memo (`OrbitKeys`): symmetry canonicalization sorts sibling task
+//! records by a rendered key, and the memo renders each distinct
+//! record's key once instead of on every transition.
+//!
 //! Interning is per-exploration: signatures from different
 //! [`Interner`]s are meaningless to compare.
 
@@ -195,32 +200,38 @@ pub(crate) fn canonicalize_live(state: &mut State) {
 /// same exclusive cell, and swapping lock-free identical records is a
 /// no-op.
 ///
+/// This free function renders every sibling's key on every call; it
+/// is the reference. Explorations canonicalize through
+/// `Interner::canonicalize_symmetry` instead, which renders each
+/// distinct record's key once and looks it up afterwards. The key is a
+/// pure function of the record minus `id`, so a stored key is the
+/// string this function would render, the sort sees the same
+/// `(key, original index)` pairs, and both pick the same
+/// representative and permutation.
+///
 /// Returns the applied task permutation (`perm[old] = new`) iff the
 /// state changed, i.e. the incoming state was not already its orbit
 /// representative. Callers tracking per-task metadata keyed by id
 /// (sleep sets) must remap it through the permutation.
 pub fn canonicalize_symmetry(state: &mut State) -> Option<Vec<usize>> {
-    let perm = symmetry_perm(state)?;
-    let n = state.tasks.len();
-    let mut permuted: Vec<Option<Task>> = vec![None; n];
-    for (old, mut t) in state.tasks.drain(..).enumerate() {
-        t.id = TaskId(perm[old]);
-        t.parent = t.parent.map(|p| TaskId(perm[p.0]));
-        permuted[perm[old]] = Some(t);
-    }
-    state.tasks = permuted.into_iter().map(|t| t.expect("permutation is a bijection")).collect();
-    for owner in state.locks.values_mut() {
-        owner.0 = TaskId(perm[owner.0 .0]);
-    }
-    Some(perm)
+    canonicalize_by(state, render_orbit_key)
 }
 
-/// The canonicalizing task permutation of `state` (`perm[old] = new`),
-/// or `None` when the state is already its orbit representative.
-/// Exposed separately so witness-evidence concretization
-/// ([`crate::graph`]) can translate canonical choice picks back to
-/// the concrete task numbering without materializing both states.
-pub fn symmetry_perm(state: &State) -> Option<Vec<usize>> {
+/// A task record's id-blind orbit key: its `Debug` rendering with
+/// `id` masked.
+fn render_orbit_key(task: &Task) -> String {
+    let mut t = task.clone();
+    t.id = TaskId(0);
+    format!("{t:?}")
+}
+
+/// The one grouping, sort and permute routine behind both
+/// [`canonicalize_symmetry`] and [`Interner::canonicalize_symmetry`];
+/// `key` supplies a sibling's orbit key, rendered or looked up.
+fn canonicalize_by<K: Ord>(
+    state: &mut State,
+    mut key: impl FnMut(&Task) -> K,
+) -> Option<Vec<usize>> {
     // Sibling groups keyed by (parent index, symmetry class).
     let mut groups: BTreeMap<(usize, u32), Vec<usize>> = BTreeMap::new();
     for (i, t) in state.tasks.iter().enumerate() {
@@ -241,14 +252,8 @@ pub fn symmetry_perm(state: &State) -> Option<Vec<usize>> {
     let mut perm: Vec<usize> = (0..n).collect();
     let mut changed = false;
     for members in groups.values() {
-        let mut keyed: Vec<(String, usize)> = members
-            .iter()
-            .map(|&i| {
-                let mut t = state.tasks[i].clone();
-                t.id = TaskId(0);
-                (format!("{t:?}"), i)
-            })
-            .collect();
+        let mut keyed: Vec<(K, usize)> =
+            members.iter().map(|&i| (key(&state.tasks[i]), i)).collect();
         keyed.sort();
         for (&slot, (_, old)) in members.iter().zip(keyed.iter()) {
             if perm[*old] != slot {
@@ -259,6 +264,19 @@ pub fn symmetry_perm(state: &State) -> Option<Vec<usize>> {
     }
     if !changed {
         return None;
+    }
+
+    // Records move to their new index, and every `TaskId` the state
+    // holds follows them.
+    let mut permuted: Vec<Option<Task>> = vec![None; n];
+    for (old, mut t) in state.tasks.drain(..).enumerate() {
+        t.id = TaskId(perm[old]);
+        t.parent = t.parent.map(|p| TaskId(perm[p.0]));
+        permuted[perm[old]] = Some(t);
+    }
+    state.tasks = permuted.into_iter().map(|t| t.expect("permutation is a bijection")).collect();
+    for owner in state.locks.values_mut() {
+        owner.0 = TaskId(perm[owner.0 .0]);
     }
     Some(perm)
 }
@@ -786,6 +804,113 @@ impl<K: Eq + Hash + Clone> ClaimTable<K> {
 unsafe impl<K: Send + Sync> Sync for ClaimTable<K> {}
 unsafe impl<K: Send> Send for ClaimTable<K> {}
 
+// --- orbit-key memo ------------------------------------------------------
+
+/// A task record seen without its `id`: what an orbit key is a
+/// function of. Equality and hashing destructure [`Task`]
+/// exhaustively, so a field added to the record is a compile error
+/// here rather than a key lookup that silently ignores it.
+struct SansId<'a>(&'a Task);
+
+impl PartialEq for SansId<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let Task {
+            id: _,
+            label,
+            status,
+            frames,
+            held,
+            pending_reacquire,
+            parent,
+            sym,
+            detached,
+            calls,
+            returns,
+            sent,
+            received,
+        } = self.0;
+        let o = other.0;
+        *label == o.label
+            && *status == o.status
+            && *frames == o.frames
+            && *held == o.held
+            && *pending_reacquire == o.pending_reacquire
+            && *parent == o.parent
+            && *sym == o.sym
+            && *detached == o.detached
+            && *calls == o.calls
+            && *returns == o.returns
+            && *sent == o.sent
+            && *received == o.received
+    }
+}
+
+impl Hash for SansId<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let Task {
+            id: _,
+            label,
+            status,
+            frames,
+            held,
+            pending_reacquire,
+            parent,
+            sym,
+            detached,
+            calls,
+            returns,
+            sent,
+            received,
+        } = self.0;
+        label.hash(state);
+        status.hash(state);
+        frames.hash(state);
+        held.hash(state);
+        pending_reacquire.hash(state);
+        parent.hash(state);
+        sym.hash(state);
+        detached.hash(state);
+        calls.hash(state);
+        returns.hash(state);
+        sent.hash(state);
+        received.hash(state);
+    }
+}
+
+/// One exploration's orbit keys: each distinct task record (minus
+/// `id`) that symmetry canonicalization sorted, with its key rendered
+/// on first sight. The same lock-free table as the component pools,
+/// so the graph builder's workers share it; a lost insert race renders
+/// one key twice and publishes one.
+struct OrbitKeys {
+    table: Table,
+    arena: Arena<(Task, String)>,
+}
+
+impl OrbitKeys {
+    fn new() -> Self {
+        OrbitKeys { table: Table::new(), arena: Arena::new() }
+    }
+
+    /// `task`'s orbit key: exactly [`render_orbit_key`]'s string,
+    /// rendered only the first time its record is met.
+    fn key(&self, task: &Task) -> &str {
+        let hash = fx_hash_of(&SansId(task));
+        let (id, _fresh) = self.table.find_or_insert(
+            hash,
+            |id| SansId(&self.arena.get(id).0) == SansId(task),
+            || self.arena.push(hash, (task.clone(), render_orbit_key(task))),
+        );
+        &self.arena.get(id).1
+    }
+
+    fn contention(&self) -> Contention {
+        let mut c = self.table.contention();
+        c.arena_bytes = self.arena.len() * std::mem::size_of::<(Task, String)>();
+        c
+    }
+}
+
 // --- the interner --------------------------------------------------------
 
 /// An interned state: component pool ids plus the scalar fields.
@@ -836,6 +961,12 @@ pub(crate) struct Interner {
     /// heavy overlap).
     msgs: LockFreePool<Vec<InFlight>>,
     output: LockFreePool<Output>,
+    /// Symmetry canonicalization's orbit keys, one per distinct
+    /// sibling record. Allocated by the first lookup, so an
+    /// exploration that never sorts a sibling group (no `PARA
+    /// SYMMETRIC` block, or the symmetry layer off) allocates nothing
+    /// for it.
+    orbit_keys: OnceLock<OrbitKeys>,
 }
 
 impl Interner {
@@ -848,7 +979,22 @@ impl Interner {
             locks: LockFreePool::new(),
             msgs: LockFreePool::new(),
             output: LockFreePool::new(),
+            orbit_keys: OnceLock::new(),
         }
+    }
+
+    /// The orbit-key memo, allocated on first use.
+    fn orbit_keys(&self) -> &OrbitKeys {
+        self.orbit_keys.get_or_init(OrbitKeys::new)
+    }
+
+    /// [`canonicalize_symmetry`] with each sibling's orbit key looked
+    /// up in this exploration's memo instead of rendered: the same
+    /// representative and permutation, since a stored key is the string
+    /// the free function would render. Every canonicalization an
+    /// exploration performs goes through here.
+    pub fn canonicalize_symmetry(&self, state: &mut State) -> Option<Vec<usize>> {
+        canonicalize_by(state, |t| self.orbit_keys().key(t))
     }
 
     pub fn intern(&self, state: &State) -> StateSig {
@@ -924,6 +1070,9 @@ impl Interner {
         c.absorb(self.locks.contention());
         c.absorb(self.msgs.contention());
         c.absorb(self.output.contention());
+        if let Some(keys) = self.orbit_keys.get() {
+            c.absorb(keys.contention());
+        }
         c
     }
 }
@@ -1171,5 +1320,68 @@ mod tests {
             assert_eq!(m.from, TaskId(0), "from is canonicalized to task 0");
         }
         assert_eq!(back, s, "Eq-class unchanged by canonicalization");
+    }
+
+    /// Memoized orbit keys are the rendered keys: on every state an
+    /// unreduced exploration reaches, and along seeded random walks of
+    /// a program too large to enumerate, the memo's permutation equals
+    /// the rendering reference's and every sibling's stored key is the
+    /// string the reference renders. One interner serves each program,
+    /// so almost every lookup is a hit on a record met before.
+    #[test]
+    fn memoized_orbit_keys_match_rendered_keys() {
+        use crate::explore::Explorer;
+        use crate::figures;
+        use crate::schedule::{RandomScheduler, Scheduler};
+
+        fn check(pools: &Interner, state: &State, what: &str) -> bool {
+            let (mut memoized, mut rendered) = (state.clone(), state.clone());
+            let memo = pools.canonicalize_symmetry(&mut memoized);
+            assert_eq!(memo, canonicalize_symmetry(&mut rendered), "{what}: permutation");
+            assert_eq!(memoized, rendered, "{what}: representative");
+            for t in state.tasks.iter().filter(|t| t.sym.is_some()) {
+                assert_eq!(pools.orbit_keys().key(t), render_orbit_key(t), "{what}: key");
+            }
+            memo.is_some()
+        }
+
+        let programs = [
+            ("dining(2)", figures::dining(2)),
+            ("dining(3)", figures::dining(3)),
+            ("naive dining(2)", figures::dining_naive(2)),
+            ("producers/consumers(2,2)", figures::producers_consumers(2, 2)),
+        ];
+        for (name, src) in &programs {
+            let interp = Interp::from_source(src).unwrap();
+            let (states, stats) =
+                Explorer::new(&interp).reachable_states(&[], usize::MAX, false).unwrap();
+            assert!(!stats.truncated, "{name}: enumerated exhaustively");
+            if *name == "dining(3)" {
+                assert_eq!(states.len(), 13_206, "{name}: the unreduced space");
+            }
+            let pools = Interner::new();
+            let permuted = states.iter().filter(|s| check(&pools, s, name)).count();
+            assert!(permuted > 0, "{name}: some state is not its own representative");
+            let records = pools.orbit_keys().arena.len();
+            assert!(records < states.len(), "{name}: {records} records, lookups must hit");
+        }
+
+        let interp = Interp::from_source(&figures::dining(8)).unwrap();
+        let pools = Interner::new();
+        let mut permuted = 0;
+        for seed in 0..16 {
+            let mut scheduler = RandomScheduler::new(seed);
+            let mut state = interp.initial_state();
+            loop {
+                permuted += check(&pools, &state, &format!("dining(8) seed {seed}")) as usize;
+                let choices = interp.choices(&state);
+                if choices.is_empty() {
+                    break;
+                }
+                let pick = scheduler.pick(&choices, &state);
+                interp.apply(&mut state, &choices[pick]).unwrap();
+            }
+        }
+        assert!(permuted > 0, "dining(8): the walks leave the representatives");
     }
 }

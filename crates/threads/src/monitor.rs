@@ -113,6 +113,13 @@ impl<T: ?Sized> Monitor<T> {
     pub fn waiter_count(&self) -> usize {
         self.cond.waiter_count()
     }
+
+    /// Number of threads queued to enter the monitor (racy; lets tests
+    /// observe a thread blocked on the lock).
+    #[cfg(test)]
+    pub(crate) fn lock_queue_len(&self) -> usize {
+        self.mutex.raw().queue_len()
+    }
 }
 
 /// Guard proving the monitor is entered. Dereferences to the data;

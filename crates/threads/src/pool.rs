@@ -14,7 +14,21 @@ struct PoolShared {
     completed: AtomicU64,
     submitted: AtomicU64,
     panicked: AtomicU64,
+    /// What [`ThreadPool::wait_idle`] waits on. Workers publish each
+    /// completion while holding its lock, so a completion can never
+    /// fall between a waiter's check and its wait.
     idle: Monitor<usize>,
+    #[cfg(test)]
+    hooks: tests::Hooks,
+}
+
+impl PoolShared {
+    /// Every submitted job has finished, normally or by panicking.
+    fn is_idle(&self) -> bool {
+        self.jobs.is_empty()
+            && self.completed.load(Ordering::SeqCst) + self.panicked.load(Ordering::SeqCst)
+                >= self.submitted.load(Ordering::SeqCst)
+    }
 }
 
 /// A fixed-size worker pool with a bounded job queue.
@@ -38,6 +52,8 @@ impl ThreadPool {
             submitted: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
             idle: Monitor::new(workers),
+            #[cfg(test)]
+            hooks: tests::Hooks::default(),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -69,15 +85,12 @@ impl ThreadPool {
     pub fn wait_idle(&self) {
         // Completed count catches up to submitted count.
         let shared = &self.shared;
-        shared.idle.when(
-            |_| {
-                shared.jobs.is_empty()
-                    && shared.completed.load(Ordering::SeqCst)
-                        + shared.panicked.load(Ordering::SeqCst)
-                        >= shared.submitted.load(Ordering::SeqCst)
-            },
-            |_| (),
-        );
+        let mut guard = shared.idle.enter();
+        while !shared.is_idle() {
+            #[cfg(test)]
+            shared.hooks.before_idle_wait();
+            guard.wait();
+        }
     }
 
     /// Stop accepting work, finish the queue, and join the workers.
@@ -115,12 +128,16 @@ impl Drop for ThreadPool {
 fn worker_loop(shared: &PoolShared) {
     while let Some(job) = shared.jobs.take() {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-        match outcome {
+        // Publish and wake `wait_idle` under the monitor's lock: a
+        // waiter checks and starts waiting inside one critical
+        // section, so the completion lands before its check or after
+        // it is registered as a waiter, never in between.
+        shared.idle.with(|_| match outcome {
             Ok(()) => shared.completed.fetch_add(1, Ordering::SeqCst),
             Err(_) => shared.panicked.fetch_add(1, Ordering::SeqCst),
-        };
-        // Wake wait_idle checkers.
-        shared.idle.notify_all();
+        });
+        #[cfg(test)]
+        shared.hooks.published.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -148,6 +165,63 @@ pub struct PoolStats {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    type Hook = Box<dyn FnOnce() + Send>;
+
+    /// Test instrumentation of a pool's idle protocol.
+    #[derive(Default)]
+    pub(super) struct Hooks {
+        /// Run once by `wait_idle` between an idle check that failed
+        /// and its wait, with the monitor's lock held.
+        before_idle_wait: std::sync::Mutex<Option<Hook>>,
+        /// Completions whose publication (counter and wake-up) is done.
+        pub(super) published: AtomicU64,
+    }
+
+    impl Hooks {
+        pub(super) fn before_idle_wait(&self) {
+            let hook = self.before_idle_wait.lock().expect("hook lock").take();
+            if let Some(hook) = hook {
+                hook();
+            }
+        }
+    }
+
+    /// The lost-wakeup interleaving, forced: a job finishes while
+    /// `wait_idle` sits between its failed idle check and its wait.
+    /// The hook releases the job, then holds the waiter there until
+    /// the worker has either published its completion (a wake-up sent
+    /// before anyone waits, so the waiter would sleep forever) or
+    /// queued on the monitor's lock (the publication must wait for the
+    /// waiter to start waiting). The bounded receive only turns a hang
+    /// into a failure.
+    #[test]
+    fn completion_between_idle_check_and_wait_is_not_lost() {
+        let pool = ThreadPool::new(1, 1);
+        let (release, released) = mpsc::channel::<()>();
+        pool.execute(move || released.recv().expect("job released")).unwrap();
+        let shared = Arc::clone(&pool.shared);
+        let hook: Hook = Box::new(move || {
+            release.send(()).expect("job waits for release");
+            while shared.hooks.published.load(Ordering::SeqCst) == 0
+                && shared.idle.lock_queue_len() == 0
+            {
+                std::thread::yield_now();
+            }
+        });
+        *pool.shared.hooks.before_idle_wait.lock().unwrap() = Some(hook);
+        let (done, idle) = mpsc::channel();
+        std::thread::spawn(move || {
+            pool.wait_idle();
+            done.send(pool.shutdown()).expect("test waits for the result");
+        });
+        let stats = idle
+            .recv_timeout(Duration::from_secs(30))
+            .expect("wait_idle missed the completion published between its check and its wait");
+        assert_eq!(stats.completed, 1);
+    }
 
     #[test]
     fn lab1_arithmetic_workload() {

@@ -68,6 +68,12 @@ impl RawMutex {
         self.try_acquire()
     }
 
+    /// Number of threads parked waiting for the lock (racy).
+    #[cfg(test)]
+    pub(crate) fn queue_len(&self) -> usize {
+        self.waiters.lock().len()
+    }
+
     /// Release and wake one queued waiter.
     ///
     /// # Safety contract (not enforced)
