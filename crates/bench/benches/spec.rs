@@ -13,7 +13,7 @@
 //! warm rounds; the JSON is emitted in every mode.
 
 use concur_conformance::spec_bank;
-use concur_exec::{OwnedSession, QueryCache};
+use concur_exec::{QueryCache, Session};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -66,7 +66,7 @@ fn measure_bank(warm_rounds: usize) -> SpecNumbers {
 
     let begin = Instant::now();
     for entry in &bank {
-        let report = OwnedSession::from_source(&entry.model)
+        let report = Session::from_source(&entry.model)
             .expect("bank model compiles")
             .with_cache(Arc::new(QueryCache::new()))
             .check_spec(&entry.spec)
@@ -77,7 +77,7 @@ fn measure_bank(warm_rounds: usize) -> SpecNumbers {
 
     let cache = Arc::new(QueryCache::new());
     let session_for = |entry: &concur_conformance::SpecEntry, cache: &Arc<QueryCache>| {
-        OwnedSession::from_source(&entry.model)
+        Session::from_source(&entry.model)
             .expect("bank model compiles")
             .with_cache(Arc::clone(cache))
     };
@@ -147,7 +147,7 @@ fn bench_spec(c: &mut Criterion) {
     let warm_cache = Arc::new(QueryCache::new());
     let bank = spec_bank();
     for entry in &bank {
-        OwnedSession::from_source(&entry.model)
+        Session::from_source(&entry.model)
             .expect("compiles")
             .with_cache(Arc::clone(&warm_cache))
             .check_spec(&entry.spec)
@@ -156,7 +156,7 @@ fn bench_spec(c: &mut Criterion) {
     group.bench_function("bank_warm_16_specs", |b| {
         b.iter(|| {
             for entry in &bank {
-                let report = OwnedSession::from_source(&entry.model)
+                let report = Session::from_source(&entry.model)
                     .expect("compiles")
                     .with_cache(Arc::clone(&warm_cache))
                     .check_spec(&entry.spec)
@@ -173,7 +173,7 @@ fn bench_spec(c: &mut Criterion) {
         bank.iter().find(|e| e.name == "sum_worker_fair_at_k64").expect("fairness entry");
     group.bench_function("fairness_cold_check", |b| {
         b.iter(|| {
-            let report = OwnedSession::from_source(&fairness.model)
+            let report = Session::from_source(&fairness.model)
                 .expect("compiles")
                 .with_cache(Arc::new(QueryCache::new()))
                 .check_spec(&fairness.spec)

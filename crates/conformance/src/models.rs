@@ -18,14 +18,14 @@
 use concur_exec::TerminalSet;
 
 /// Exhaustively explore one model's terminal set through the memoized
-/// query layer ([`concur_exec::OwnedSession`]): the first caller per
-/// source pays the graph build, every later caller — the fuzz oracle,
-/// the real-runtime spot checks, the model unit tests — reads the
-/// cached graph. Errors on parse failure, runtime fault, or a
+/// query layer ([`concur_exec::Session::from_source`]): the first
+/// caller per source pays the graph build, every later caller — the
+/// fuzz oracle, the real-runtime spot checks, the model unit tests —
+/// reads the cached graph. Errors on parse failure, runtime fault, or a
 /// truncated exploration (models must be exhaustively explorable).
 pub fn explore_model(src: &str) -> Result<TerminalSet, String> {
     let session =
-        concur_exec::OwnedSession::from_source(src).map_err(|e| format!("model parse: {e}"))?;
+        concur_exec::Session::from_source(src).map_err(|e| format!("model parse: {e}"))?;
     let set = session.terminals().map_err(|e| format!("model explore: {e}"))?;
     if set.stats.truncated {
         return Err("model exploration truncated".into());

@@ -71,13 +71,9 @@ impl Default for Limits {
 ///   changes state/transition *counts* (never answers), so the golden
 ///   statistics suites pin it off.
 ///
-/// The `CONCUR_REDUCTION` environment variable overrides the default
-/// stack for every explorer constructed afterwards: a comma-separated
-/// subset of `por`, `symmetry`, `sleep` (e.g.
-/// `CONCUR_REDUCTION=por,symmetry,sleep`), or `none` for plain
-/// exhaustive search, or `full` for all three. Explicit builder calls
-/// ([`Explorer::with_reduction`], [`Explorer::without_por`]) always
-/// win over the environment.
+/// Explorers and sessions start from [`Reduction::default`]; the
+/// builders ([`Explorer::with_reduction`], [`Explorer::without_por`])
+/// change it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reduction {
     /// Ample-set partial-order reduction.
@@ -90,7 +86,7 @@ pub struct Reduction {
 
 impl Default for Reduction {
     /// POR and symmetry on, sleep off — the stack every constructor
-    /// starts from unless `CONCUR_REDUCTION` says otherwise.
+    /// starts from.
     fn default() -> Self {
         Reduction { por: true, symmetry: true, sleep: false }
     }
@@ -101,41 +97,6 @@ impl Reduction {
     pub const NONE: Reduction = Reduction { por: false, symmetry: false, sleep: false };
     /// Every layer on.
     pub const FULL: Reduction = Reduction { por: true, symmetry: true, sleep: true };
-
-    /// The process-wide default: [`Reduction::default`] unless the
-    /// `CONCUR_REDUCTION` environment variable overrides it (read once
-    /// per process, like `CONCUR_EXPLORE_THREADS`).
-    pub fn from_env() -> Reduction {
-        use std::sync::OnceLock;
-        static CONFIGURED: OnceLock<Reduction> = OnceLock::new();
-        *CONFIGURED.get_or_init(|| match std::env::var("CONCUR_REDUCTION") {
-            Ok(spec) => Reduction::parse(&spec).unwrap_or_default(),
-            Err(_) => Reduction::default(),
-        })
-    }
-
-    /// Parse a `CONCUR_REDUCTION` spec. `None` for empty or
-    /// unrecognized input (callers fall back to the default stack).
-    pub fn parse(spec: &str) -> Option<Reduction> {
-        let spec = spec.trim();
-        match spec {
-            "" => return None,
-            "none" => return Some(Reduction::NONE),
-            "full" => return Some(Reduction::FULL),
-            _ => {}
-        }
-        let mut r = Reduction::NONE;
-        for part in spec.split(',') {
-            match part.trim() {
-                "por" => r.por = true,
-                "symmetry" | "sym" => r.symmetry = true,
-                "sleep" => r.sleep = true,
-                "" => {}
-                _ => return None,
-            }
-        }
-        Some(r)
-    }
 }
 
 /// Maximum hops folded into one corridor-compressed edge (see
@@ -564,7 +525,7 @@ impl<'i> Explorer<'i> {
     }
 
     pub fn with_limits(interp: &'i Interp, limits: Limits) -> Self {
-        Explorer { interp, limits, reduction: Reduction::from_env() }
+        Explorer { interp, limits, reduction: Reduction::default() }
     }
 
     /// The same explorer with partial-order reduction disabled.
@@ -578,7 +539,7 @@ impl<'i> Explorer<'i> {
     }
 
     /// The same explorer with an explicit reduction stack, overriding
-    /// both the default and the `CONCUR_REDUCTION` environment knob.
+    /// the default.
     pub fn with_reduction(mut self, reduction: Reduction) -> Self {
         self.reduction = reduction;
         self

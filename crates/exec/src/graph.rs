@@ -71,10 +71,12 @@ use crate::explore::{
 };
 use crate::intern::{fx_hash_of, FxHashMap, FxHashSet, Interner, SigView, StateSig};
 use crate::interp::{Interp, Outcome};
+use crate::spec::SpecReport;
 use crate::state::State;
 use crate::value::RuntimeError;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Write as _;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Frontier width below which a level is expanded inline: spawning
@@ -82,6 +84,12 @@ use std::time::Instant;
 /// the narrow early/late levels of every space stay on one thread
 /// while the wide middle fans out.
 const PAR_LEVEL_MIN: usize = 48;
+
+/// Most threads one level fans out across, whatever worker count the
+/// session asks for: a level is split into at most this many chunks,
+/// so a huge worker count cannot start one thread per node of a wide
+/// level.
+const MAX_LEVEL_THREADS: usize = 64;
 
 /// One stored transition, as the flat edge array keeps it: the target
 /// and where the edge's events and picks end in the graph's `events`
@@ -210,6 +218,11 @@ pub struct StateGraph {
     /// Build statistics; `truncated` records whether any bound was hit
     /// (all answers read from a truncated graph are non-exhaustive).
     stats: Stats,
+    /// Spec verdicts decided on this graph, by spec digest (see
+    /// [`StateGraph::verdict`]). Not part of the stored bytes or the
+    /// content hash: a reloaded graph starts with none, and an evicted
+    /// graph frees its verdicts with it.
+    verdicts: Mutex<FxHashMap<u64, Arc<OnceLock<SpecReport>>>>,
 }
 
 impl StateGraph {
@@ -321,6 +334,28 @@ impl StateGraph {
         stats.build_wall = stats.wall;
         let meta = GraphMeta { digest: interp.digest(), limits, reduction, vis };
         Ok(edges.into_graph(interner, meta, nodes, terminals, stats))
+    }
+
+    /// The verdict of the spec whose digest is `spec`, decided by
+    /// `decide` the first time anyone asks this graph for it. Callers
+    /// asking for the same spec at once wait for that one decision, so
+    /// a spec is decided exactly once per graph however the callers
+    /// are scheduled. Returns the verdict and whether it was already
+    /// decided (a memo hit).
+    pub(crate) fn verdict(
+        &self,
+        spec: u64,
+        decide: impl FnOnce() -> SpecReport,
+    ) -> (SpecReport, bool) {
+        let cell = Arc::clone(
+            self.verdicts.lock().unwrap_or_else(|p| p.into_inner()).entry(spec).or_default(),
+        );
+        let mut decided = false;
+        let report = cell.get_or_init(|| {
+            decided = true;
+            decide()
+        });
+        (report.clone(), !decided)
     }
 
     /// Build statistics (the graph's cost card).
@@ -995,6 +1030,7 @@ impl FlatEdges {
             picks: self.picks.into_boxed_slice(),
             terminals,
             stats,
+            verdicts: Mutex::default(),
         }
     }
 }
@@ -1042,9 +1078,17 @@ fn accrue(total: &mut Stats, part: &Stats) {
     total.peak_stack_bytes = total.peak_stack_bytes.max(part.peak_stack_bytes);
 }
 
+/// Nodes per chunk when a level of `width` nodes fans out across
+/// `workers` threads: `width` split evenly into at most
+/// [`MAX_LEVEL_THREADS`] contiguous chunks, one thread each.
+fn level_chunk(width: usize, workers: usize) -> usize {
+    width.div_ceil(workers.clamp(1, MAX_LEVEL_THREADS))
+}
+
 /// Expand every node of one level against the frozen snapshot,
-/// fanning out across `workers` threads when the level is wide enough.
-/// Results are returned in frontier order regardless of scheduling.
+/// fanning out across up to `workers` threads (at most
+/// [`MAX_LEVEL_THREADS`]) when the level is wide enough. Results are
+/// returned in frontier order regardless of scheduling.
 fn expand_level(
     probe: &Explorer<'_>,
     interner: &Interner,
@@ -1062,10 +1106,9 @@ fn expand_level(
             })
             .collect();
     }
-    let chunk = items.len().div_ceil(workers);
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
-            .chunks(chunk)
+            .chunks(level_chunk(items.len(), workers))
             .map(|part| {
                 scope.spawn(move || {
                     part.iter()
@@ -1373,6 +1416,22 @@ ENDPARA
         let bytes = base.to_bytes();
         for workers in [2, 4, 8] {
             assert!(build(workers).to_bytes() == bytes, "{workers} workers: graph bytes differ");
+        }
+    }
+
+    /// A level fans out across at most [`MAX_LEVEL_THREADS`] threads
+    /// however many workers are asked for, while the small worker
+    /// counts the byte-identity tests use keep their exact split.
+    /// Checked on the partition alone: no thread is started.
+    #[test]
+    fn level_fan_out_is_bounded_by_a_constant() {
+        let width = 1_000_000;
+        let chunk = level_chunk(width, usize::MAX);
+        assert!(width.div_ceil(chunk) <= MAX_LEVEL_THREADS, "{} threads", width.div_ceil(chunk));
+        assert_eq!(level_chunk(width, 0), width, "zero workers means one thread");
+        for workers in [1, 2, 4, 8] {
+            assert_eq!(level_chunk(width, workers), width.div_ceil(workers), "{workers} workers");
+            assert_eq!(level_chunk(PAR_LEVEL_MIN, workers), PAR_LEVEL_MIN.div_ceil(workers));
         }
     }
 

@@ -58,7 +58,7 @@ pub use schedule::{
     RunResult, Scheduler, SourceScheduler,
 };
 pub use server::{Server, ServerConfig, ServerStats, TenantStats};
-pub use session::{CacheStats, OwnedSession, QueryCache, Session};
+pub use session::{CacheStats, QueryCache, Session};
 pub use spec::{Monitor, Region, Spec, SpecReport, SpecViolation, ViolationKind};
 pub use state::{State, TaskId};
 pub use value::{MessageVal, ObjId, RuntimeError, Value};

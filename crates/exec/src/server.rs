@@ -1,18 +1,17 @@
 //! Model checking as a service: a concurrent, multi-tenant query
 //! server over the state-graph store.
 //!
-//! The [`Session`]/`QueryCache` layer (see [`crate::session`]) made
-//! build-once-query-many real, but it serves one caller at a time: the
-//! cache is a single `Mutex`ed map, two clients racing a cold key both
-//! pay the build, and nothing bounds how many builds run at once or
-//! how much graph memory one consumer pins. [`Server`] is the
-//! front-end that absorbs concurrent traffic:
+//! [`Server`] is the crate's one graph store: every [`Session`] that
+//! has a store resolves its graphs through `Server::obtain`. A
+//! [`QueryCache`](crate::session::QueryCache) is a named preset of it
+//! (one tenant, no budget, no disk, no admission limit). The server
+//! absorbs concurrent traffic:
 //!
 //! * **Sharded cache.** Graphs live in `RwLock`-per-shard maps keyed
-//!   by the same `GraphKey` as the session cache (program digest,
-//!   limits, POR mode, visibility signature). Warm queries take one
-//!   shard read lock — concurrent readers never serialize against each
-//!   other or against builds of other keys.
+//!   by `GraphKey` (program digest, limits, reduction stack,
+//!   visibility signature). Warm queries take one shard read lock —
+//!   concurrent readers never serialize against each other or against
+//!   builds of other keys.
 //! * **Single-flight deduplication.** The first client to miss a key
 //!   installs an in-flight *flight* record and builds; every other
 //!   client asking the same key parks on the flight's condvar and
@@ -30,7 +29,8 @@
 //!   (least-recently-used) graphs are evicted first; a graph leaves
 //!   the shared map when its last charging tenant evicts it.
 //!   Outstanding `Arc`s keep answering — eviction frees future memory,
-//!   never correctness.
+//!   never correctness. Spec verdicts are memoized on the graph they
+//!   were decided on ([`StateGraph`]), so they leave with it.
 //! * **Disk-backed warm restarts.** With a disk directory configured,
 //!   every freshly built graph is persisted
 //!   ([`StateGraph::to_bytes`] — deterministic, so persisted bytes are
@@ -49,35 +49,33 @@
 //! the flight, and eviction computes its victim set under the
 //! accounting lock but removes shard entries after releasing it.
 //! Parked waiters hold no lock while waiting. Build permits are
-//! acquired outside every lock.
+//! acquired outside every lock. A warm hit takes one shard read lock
+//! and then the accounting lock once, and allocates nothing.
 
 use crate::graph::StateGraph;
 use crate::intern::{fx_hash_of, FxHashMap};
 use crate::interp::Interp;
-use crate::session::{Fetched, GraphKey, OwnedSession, Session};
+use crate::session::{Fetched, GraphKey, Session};
 use crate::value::RuntimeError;
 use concur_pseudocode::Span;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
-/// Configuration for a [`Server`]. Every knob is an explicit field —
-/// the environment variables are *defaults* consulted only by
-/// [`ServerConfig::from_env`] (and [`Default`]), mirroring the
-/// `CONCUR_QUERY_CACHE` constructor-argument discipline.
+/// Configuration for a [`Server`]. Every setting is an explicit field;
+/// the environment configures none of them.
 #[derive(Clone)]
 pub struct ServerConfig {
     /// Cache shard count (rounded up to a power of two, min 1).
     pub shards: usize,
-    /// Concurrent graph builds admitted (min 1). Default env knob:
-    /// `CONCUR_SERVER_PERMITS`.
+    /// Concurrent graph builds admitted (min 1; `usize::MAX` admits
+    /// every build at once).
     pub build_permits: usize,
     /// Per-tenant resident-graph budget, in interned states (graphs
-    /// report their node counts). `None` = unbounded. Default env
-    /// knob: `CONCUR_SERVER_TENANT_BUDGET` (states).
+    /// report their node counts). `None` = unbounded.
     pub tenant_budget_states: Option<usize>,
     /// Directory for disk-backed graph persistence; `None` disables.
-    /// Default env knob: `CONCUR_SERVER_DISK`.
     pub disk_dir: Option<PathBuf>,
     /// Test instrumentation: invoked inside the single-flight build
     /// critical section (after admission, before the build) — lets the
@@ -88,8 +86,8 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Fixed, environment-independent defaults: 16 shards, 2 build
-    /// permits, unbounded budgets, no disk.
+    /// The defaults: 16 shards, 2 build permits, unbounded budgets, no
+    /// disk.
     pub fn new() -> Self {
         ServerConfig {
             shards: 16,
@@ -98,20 +96,6 @@ impl ServerConfig {
             disk_dir: None,
             build_hold: None,
         }
-    }
-
-    /// [`ServerConfig::new`] with the environment knobs applied as
-    /// defaults: `CONCUR_SERVER_PERMITS`, `CONCUR_SERVER_TENANT_BUDGET`
-    /// (states), `CONCUR_SERVER_DISK` (directory).
-    pub fn from_env() -> Self {
-        let mut config = ServerConfig::new();
-        if let Some(permits) = env_usize("CONCUR_SERVER_PERMITS") {
-            config.build_permits = permits.max(1);
-        }
-        config.tenant_budget_states = env_usize("CONCUR_SERVER_TENANT_BUDGET");
-        config.disk_dir =
-            std::env::var_os("CONCUR_SERVER_DISK").filter(|v| !v.is_empty()).map(PathBuf::from);
-        config
     }
 
     /// Builder: per-tenant budget in states.
@@ -135,7 +119,7 @@ impl ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig::from_env()
+        ServerConfig::new()
     }
 }
 
@@ -149,10 +133,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("build_hold", &self.build_hold.is_some())
             .finish()
     }
-}
-
-fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key).ok().and_then(|v| v.trim().parse().ok())
 }
 
 /// Run `f` — a build or a disk reload — catching a panic as its
@@ -194,8 +174,8 @@ pub struct TenantStats {
     pub resident_states: usize,
 }
 
-/// Whole-server counters: the sum of every tenant's [`TenantStats`]
-/// plus the shared-map entry count.
+/// Whole-server counters: the sum of every tenant's [`TenantStats`],
+/// the shared-map entry count and the spec-verdict counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     pub hits: usize,
@@ -208,6 +188,11 @@ pub struct ServerStats {
     pub entries: usize,
     /// Tenants the server has seen.
     pub tenants: usize,
+    /// Spec verdicts read from the verdict memo of a served graph.
+    pub spec_hits: usize,
+    /// Spec verdicts decided by a product traversal (once per spec and
+    /// graph, however the callers are scheduled).
+    pub spec_misses: usize,
 }
 
 /// One key's in-flight build: the record every racing client parks on.
@@ -321,12 +306,25 @@ struct Accounting {
     clock: u64,
 }
 
+impl Accounting {
+    /// `tenant`'s ledger, created on first sight — the only time the
+    /// tenant's name is copied.
+    fn tenant(&mut self, tenant: &str) -> &mut Tenant {
+        if !self.tenants.contains_key(tenant) {
+            self.tenants.insert(tenant.to_string(), Tenant::default());
+        }
+        self.tenants.get_mut(tenant).expect("inserted above")
+    }
+}
+
 struct Inner {
     config: ServerConfig,
     shard_mask: usize,
     shards: Box<[RwLock<FxHashMap<GraphKey, Slot>>]>,
     gate: FifoGate,
     acct: Mutex<Accounting>,
+    spec_hits: AtomicUsize,
+    spec_misses: AtomicUsize,
 }
 
 /// The multi-tenant model-checking front-end. Cheap to clone (an
@@ -346,14 +344,11 @@ impl Server {
                 shards: (0..shards).map(|_| RwLock::new(FxHashMap::default())).collect(),
                 gate,
                 acct: Mutex::new(Accounting::default()),
+                spec_hits: AtomicUsize::new(0),
+                spec_misses: AtomicUsize::new(0),
                 config,
             }),
         }
-    }
-
-    /// A server with environment-default configuration.
-    pub fn from_env() -> Server {
-        Server::new(ServerConfig::from_env())
     }
 
     /// Open a query session over `interp` on behalf of `tenant`: the
@@ -363,10 +358,10 @@ impl Server {
         Session::new(interp).via_server(self, tenant)
     }
 
-    /// Compile `source` and open an owning session routed through this
-    /// server (the conformance-oracle surface).
-    pub fn owned_session(&self, tenant: &str, source: &str) -> Result<OwnedSession, String> {
-        Ok(OwnedSession::from_source(source)?.via_server(self, tenant))
+    /// Compile `source` and open a session that owns it, routed
+    /// through this server (the conformance-oracle surface).
+    pub fn owned_session(&self, tenant: &str, source: &str) -> Result<Session<'static>, String> {
+        Ok(Session::from_source(source)?.via_server(self, tenant))
     }
 
     fn shard(&self, key: &GraphKey) -> &RwLock<FxHashMap<GraphKey, Slot>> {
@@ -375,18 +370,26 @@ impl Server {
 
     /// Resolve `key` for `tenant`: shard read fast path, single-flight
     /// slow path, then charge the tenant (possibly evicting its
-    /// coldest graphs). This is the server's entire request pipeline;
-    /// [`Session`] calls it through `Backend::Server`.
+    /// coldest graphs). This is the server's entire request pipeline,
+    /// and the one place a [`Session`] with a store looks up or builds
+    /// a graph.
     pub(crate) fn obtain(
         &self,
         tenant: &str,
-        key: GraphKey,
+        key: &GraphKey,
         interp: &Interp,
         build: impl FnOnce() -> Result<StateGraph, RuntimeError>,
     ) -> Result<Fetched, RuntimeError> {
-        let mut fetched = self.lookup(tenant, &key, interp, build)?;
-        fetched.evictions = self.charge(tenant, &key, fetched.graph.node_count());
+        let mut fetched = self.lookup(tenant, key, interp, build)?;
+        fetched.evictions = self.charge(tenant, key, fetched.graph.node_count(), fetched.hit);
         Ok(fetched)
+    }
+
+    /// Count one spec verdict a session read (`hit`) or decided on a
+    /// graph this server served.
+    pub(crate) fn count_verdict(&self, hit: bool) {
+        let counter = if hit { &self.inner.spec_hits } else { &self.inner.spec_misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     fn lookup(
@@ -397,15 +400,11 @@ impl Server {
         build: impl FnOnce() -> Result<StateGraph, RuntimeError>,
     ) -> Result<Fetched, RuntimeError> {
         // Fast path: warm graph, one shard read lock.
-        if let Some(Slot::Ready(graph)) =
-            self.shard(key).read().unwrap_or_else(|p| p.into_inner()).get(key).map(
-                |slot| match slot {
-                    Slot::Ready(g) => Slot::Ready(Arc::clone(g)),
-                    Slot::Building(f) => Slot::Building(Arc::clone(f)),
-                },
-            )
-        {
-            self.count(tenant, |c| c.hits += 1);
+        let warm = match self.shard(key).read().unwrap_or_else(|p| p.into_inner()).get(key) {
+            Some(Slot::Ready(graph)) => Some(Arc::clone(graph)),
+            _ => None,
+        };
+        if let Some(graph) = warm {
             return Ok(Fetched::local(graph, true));
         }
 
@@ -429,10 +428,7 @@ impl Server {
             }
         };
         match role {
-            Role::Hit(graph) => {
-                self.count(tenant, |c| c.hits += 1);
-                Ok(Fetched::local(graph, true))
-            }
+            Role::Hit(graph) => Ok(Fetched::local(graph, true)),
             Role::Park(flight) => {
                 // The parked-waiter counter is bumped *before* the
                 // wait so a held-open build observes every waiter.
@@ -505,24 +501,25 @@ impl Server {
         })
     }
 
-    /// Charge `tenant` for `states` under `key`, touch its LRU slot,
-    /// and evict its coldest graphs while over budget. Returns how
-    /// many graphs were evicted. The just-touched key is never its own
-    /// victim, so one oversized graph degrades to
-    /// "resident_graphs == 1", not an eviction livelock.
-    fn charge(&self, tenant: &str, key: &GraphKey, states: usize) -> usize {
+    /// Charge `tenant` for `states` under `key` (counting a `hit`),
+    /// touch its LRU slot, and evict its coldest graphs while over
+    /// budget. Returns how many graphs were evicted. The just-touched
+    /// key is never its own victim, so one oversized graph degrades to
+    /// "resident_graphs == 1", not an eviction livelock. Tenant and
+    /// key are looked up by reference and copied only when first
+    /// charged, so a warm hit allocates nothing here.
+    fn charge(&self, tenant: &str, key: &GraphKey, states: usize, hit: bool) -> usize {
         let budget = self.inner.config.tenant_budget_states;
         let victims: Vec<GraphKey> = {
             let mut acct = self.inner.acct.lock().unwrap_or_else(|p| p.into_inner());
             acct.clock += 1;
             let tick = acct.clock;
-            let ledger = acct.tenants.entry(tenant.to_string()).or_default();
-            match ledger.resident.entry(key.clone()) {
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    slot.get_mut().0 = tick;
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert((tick, states));
+            let ledger = acct.tenant(tenant);
+            ledger.counters.hits += usize::from(hit);
+            match ledger.resident.get_mut(key) {
+                Some(slot) => slot.0 = tick,
+                None => {
+                    ledger.resident.insert(key.clone(), (tick, states));
                     ledger.resident_states += states;
                     *acct.charges.entry(key.clone()).or_insert(0) += 1;
                 }
@@ -616,7 +613,7 @@ impl Server {
 
     fn count(&self, tenant: &str, f: impl FnOnce(&mut TenantStats)) {
         let mut acct = self.inner.acct.lock().unwrap_or_else(|p| p.into_inner());
-        f(&mut acct.tenants.entry(tenant.to_string()).or_default().counters);
+        f(&mut acct.tenant(tenant).counters);
     }
 
     /// This tenant's counters (zeros for a tenant never seen).
@@ -626,9 +623,13 @@ impl Server {
     }
 
     /// Whole-server counters: every tenant summed, plus the live
-    /// shared-map entry count.
+    /// shared-map entry count and the spec-verdict counts.
     pub fn stats(&self) -> ServerStats {
-        let mut out = ServerStats::default();
+        let mut out = ServerStats {
+            spec_hits: self.inner.spec_hits.load(Ordering::Relaxed),
+            spec_misses: self.inner.spec_misses.load(Ordering::Relaxed),
+            ..ServerStats::default()
+        };
         {
             let acct = self.inner.acct.lock().unwrap_or_else(|p| p.into_inner());
             out.tenants = acct.tenants.len();

@@ -3,16 +3,15 @@
 //! A [`Session`] answers the same questions as
 //! [`Explorer`](crate::explore::Explorer) — terminal enumeration,
 //! `can_happen`, `admits_trace` — but routes every answer through a
-//! persistent [`StateGraph`] memoized in a
-//! [`QueryCache`]. The first question against a program pays one
-//! graph build; every later question with a compatible key is a
-//! traversal of the stored graph.
+//! persistent [`StateGraph`] held in a graph store. The first question
+//! against a program pays one graph build; every later question with a
+//! compatible key is a traversal of the stored graph.
 //!
 //! # The cache key, and why visibility is in it
 //!
 //! Graphs are keyed by `GraphKey`: the program digest
-//! ([`Interp::digest`]), the exploration [`Limits`], the POR mode,
-//! and a *visibility signature*. Partial-order reduction is only
+//! ([`Interp::digest`]), the exploration [`Limits`], the reduction
+//! stack, and a *visibility signature*. Partial-order reduction is only
 //! sound relative to what a query can observe: the reduced graph may
 //! defer (and commute away) any transition that is *invisible* — one
 //! that cannot match a queried event pattern or flip a watched state
@@ -39,21 +38,31 @@
 //! observation — so the signature is forced empty and every query of
 //! the program shares one unreduced graph.
 //!
-//! Set `CONCUR_QUERY_CACHE=0` to disable the process-global cache
-//! (every query rebuilds); per-[`Session`] caches injected with
-//! [`Session::with_cache`] are unaffected by the knob.
+//! # Where graphs live
+//!
+//! A session resolves every graph through one store, a [`Server`]:
+//! the one given with [`Session::via_server`], a [`QueryCache`] (the
+//! server preset for a single caller) given with
+//! [`Session::with_cache`], or else the process's default cache.
+//! `CONCUR_QUERY_CACHE=0` removes that default: a session opened
+//! without an explicit store then builds every query's graph afresh,
+//! the no-store reference path the memoized answers are tested
+//! against. Spec verdicts are memoized on the graph they were decided
+//! on, whichever store holds it.
+//!
+//! Two environment variables are read, each once per process:
+//! `CONCUR_EXPLORE_THREADS` (graph-build workers) and
+//! `CONCUR_QUERY_CACHE`.
 
 use crate::event::{EventKindPattern, EventPattern, StateCond};
 use crate::explore::{Answer, Limits, Reduction, Stats, TerminalSet, Visibility};
 use crate::graph::{GraphMeta, StateGraph, WitnessEvidence};
-use crate::intern::FxHashMap;
 use crate::interp::Interp;
-use crate::server::Server;
+use crate::server::{Server, ServerConfig};
 use crate::spec::{Spec, SpecReport};
 use crate::value::RuntimeError;
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The graph-build worker count for sessions (and server sessions)
@@ -70,6 +79,19 @@ fn configured_threads() -> usize {
             .filter(|&n| n >= 1)
             .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     })
+}
+
+/// The store of sessions opened without one: a process-wide
+/// [`QueryCache`], or none when `CONCUR_QUERY_CACHE=0` (read once per
+/// process).
+fn default_store() -> Option<&'static QueryCache> {
+    static DEFAULT: OnceLock<Option<QueryCache>> = OnceLock::new();
+    DEFAULT
+        .get_or_init(|| {
+            let off = std::env::var("CONCUR_QUERY_CACHE").is_ok_and(|v| v.trim() == "0");
+            (!off).then(QueryCache::new)
+        })
+        .as_ref()
 }
 
 /// Identity of a memoized state graph. Worker count is deliberately
@@ -119,12 +141,11 @@ pub(crate) struct Fetched {
     pub(crate) graph: Arc<StateGraph>,
     /// Served from an already-resident graph.
     pub(crate) hit: bool,
-    /// Parked behind another client's in-flight build (server only).
+    /// Parked behind another client's in-flight build.
     pub(crate) parked: bool,
-    /// Cold graphs evicted to admit this one (server only).
+    /// Cold graphs evicted to admit this one.
     pub(crate) evictions: usize,
-    /// Graph reloaded from the disk store instead of built (server
-    /// only).
+    /// Graph reloaded from the disk store instead of built.
     pub(crate) disk_load: bool,
 }
 
@@ -141,7 +162,8 @@ pub struct CacheStats {
     pub hits: usize,
     /// Queries that found no graph under their key.
     pub misses: usize,
-    /// Graph builds performed (== distinct keys seen, absent races).
+    /// Graph builds performed (== distinct keys seen: racers on one
+    /// cold key park on a single build).
     pub builds: usize,
     /// Graphs currently stored.
     pub entries: usize,
@@ -151,176 +173,41 @@ pub struct CacheStats {
     pub spec_misses: usize,
 }
 
-/// A memoized store of state graphs keyed by `GraphKey` (program
-/// digest, limits, reduction stack, visibility signature).
+/// A graph store for one caller: a [`Server`] preset with one tenant,
+/// no tenant budget, no disk store and no admission limit. Every build
+/// is admitted at once, racers on one cold key park on a single build,
+/// and a panicking build becomes the server's typed error.
 ///
-/// Shared across sessions via `Arc`; all methods take `&self`. Builds
-/// happen outside the map lock, so two threads racing on the same
-/// fresh key may both build — they produce identical graphs (the
-/// builder is deterministic) and the first insert wins, so the race
-/// costs time, never correctness.
+/// Shared across sessions via `Arc` ([`Session::with_cache`]).
 pub struct QueryCache {
-    enabled: bool,
-    map: Mutex<FxHashMap<GraphKey, Arc<StateGraph>>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    builds: AtomicUsize,
-    /// Whether spec *verdicts* are memoized (the `CONCUR_SPEC` knob).
-    /// Independent of `enabled`: graph memoization can stay on while
-    /// every spec query re-traverses the shared graph.
-    spec_enabled: bool,
-    /// Verdict memo: the spec digest rides the *query* key next to
-    /// the graph key — it must never reach [`GraphKey`] itself, or
-    /// specs would fragment the graph store they are designed to
-    /// share.
-    specs: Mutex<FxHashMap<(GraphKey, u64), SpecReport>>,
-    spec_hits: AtomicUsize,
-    spec_misses: AtomicUsize,
+    server: Server,
 }
 
+/// The one tenant of a [`QueryCache`].
+const CACHE_TENANT: &str = "cache";
+
 impl QueryCache {
-    /// A fresh, enabled cache. Deliberately ignores the
-    /// `CONCUR_QUERY_CACHE` environment knob: enabledness is routed
-    /// through constructor arguments ([`QueryCache::with_enabled`]),
-    /// and the env var only picks the *default* for the process-global
-    /// cache ([`QueryCache::global`] via [`QueryCache::from_env`]).
-    /// Anything else is a test hazard — a test binary that mutates the
-    /// env var races every other thread's cache construction.
+    /// A fresh, empty cache.
     pub fn new() -> Self {
-        QueryCache::with_enabled(true)
-    }
-
-    /// A fresh cache with memoization explicitly on or off. A disabled
-    /// cache still counts misses and builds, but stores nothing and
-    /// never hits — every query pays a fresh build.
-    pub fn with_enabled(enabled: bool) -> Self {
-        QueryCache {
-            enabled,
-            map: Mutex::new(FxHashMap::default()),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            builds: AtomicUsize::new(0),
-            spec_enabled: enabled,
-            specs: Mutex::new(FxHashMap::default()),
-            spec_hits: AtomicUsize::new(0),
-            spec_misses: AtomicUsize::new(0),
-        }
-    }
-
-    /// Builder: switch spec-verdict memoization on or off
-    /// independently of graph memoization.
-    pub fn with_spec_enabled(mut self, enabled: bool) -> Self {
-        self.spec_enabled = enabled;
-        self
-    }
-
-    /// A fresh cache whose enabledness defaults from the environment
-    /// (`CONCUR_QUERY_CACHE=0` disables; anything else enables). The
-    /// env var is read at *this* call, not process-globally cached —
-    /// callers that need a fixed setting should say so with
-    /// [`QueryCache::with_enabled`] instead of mutating the
-    /// environment.
-    pub fn from_env() -> Self {
-        QueryCache::with_enabled(QueryCache::env_enabled())
-            .with_spec_enabled(QueryCache::env_enabled() && QueryCache::spec_env_enabled())
-    }
-
-    /// The current value of the `CONCUR_QUERY_CACHE` knob (default:
-    /// enabled).
-    pub fn env_enabled() -> bool {
-        std::env::var("CONCUR_QUERY_CACHE").map_or(true, |v| v.trim() != "0")
-    }
-
-    /// The current value of the `CONCUR_SPEC` knob (default: enabled).
-    /// `CONCUR_SPEC=0` disables the spec-verdict memo only — graphs
-    /// stay memoized and every spec query re-runs its product
-    /// traversal over the shared graph.
-    pub fn spec_env_enabled() -> bool {
-        std::env::var("CONCUR_SPEC").map_or(true, |v| v.trim() != "0")
-    }
-
-    /// The process-global cache every [`Session`] uses unless given
-    /// its own. Its enabledness is the `CONCUR_QUERY_CACHE` default,
-    /// snapshotted at first use — late env mutations do not reach it,
-    /// which is why tests must inject [`QueryCache::with_enabled`]
-    /// caches instead of touching the env var.
-    pub fn global() -> &'static Arc<QueryCache> {
-        static GLOBAL: OnceLock<Arc<QueryCache>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(QueryCache::from_env()))
-    }
-
-    /// Whether memoization is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+        QueryCache { server: Server::new(ServerConfig::new().permits(usize::MAX)) }
     }
 
     /// Lifetime counters.
     pub fn stats(&self) -> CacheStats {
+        let s = self.server.stats();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            builds: self.builds.load(Ordering::Relaxed),
-            entries: self.map.lock().expect("query cache poisoned").len(),
-            spec_hits: self.spec_hits.load(Ordering::Relaxed),
-            spec_misses: self.spec_misses.load(Ordering::Relaxed),
+            hits: s.hits,
+            misses: s.misses,
+            builds: s.builds,
+            entries: s.entries,
+            spec_hits: s.spec_hits,
+            spec_misses: s.spec_misses,
         }
     }
 
-    /// Drop every stored graph and spec verdict (counters are kept).
-    pub fn clear(&self) {
-        self.map.lock().expect("query cache poisoned").clear();
-        self.specs.lock().expect("spec memo poisoned").clear();
-    }
-
-    /// The graph for `key`, building with `build` on a miss. Returns
-    /// the graph and how it was obtained.
-    fn obtain(
-        &self,
-        key: GraphKey,
-        build: impl FnOnce() -> Result<StateGraph, RuntimeError>,
-    ) -> Result<Fetched, RuntimeError> {
-        if self.enabled {
-            if let Some(found) = self.map.lock().expect("query cache poisoned").get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Fetched::local(Arc::clone(found), true));
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(build()?);
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        if !self.enabled {
-            return Ok(Fetched::local(built, false));
-        }
-        let mut map = self.map.lock().expect("query cache poisoned");
-        let entry = map.entry(key).or_insert_with(|| Arc::clone(&built));
-        Ok(Fetched::local(Arc::clone(entry), false))
-    }
-
-    /// The memoized verdict of `spec_digest` over the graph under
-    /// `key`, computing with `compute` on a miss. Returns the report
-    /// and whether it was a memo hit.
-    fn obtain_spec(
-        &self,
-        key: GraphKey,
-        spec_digest: u64,
-        compute: impl FnOnce() -> SpecReport,
-    ) -> (SpecReport, bool) {
-        if self.spec_enabled {
-            let memo = self.specs.lock().expect("spec memo poisoned");
-            if let Some(found) = memo.get(&(key.clone(), spec_digest)) {
-                self.spec_hits.fetch_add(1, Ordering::Relaxed);
-                return (found.clone(), true);
-            }
-        }
-        self.spec_misses.fetch_add(1, Ordering::Relaxed);
-        let report = compute();
-        if self.spec_enabled {
-            self.specs
-                .lock()
-                .expect("spec memo poisoned")
-                .insert((key, spec_digest), report.clone());
-        }
-        (report, false)
+    /// The session store this cache stands for.
+    fn store(&self) -> Store {
+        Store { server: self.server.clone(), tenant: Cow::Borrowed(CACHE_TENANT) }
     }
 }
 
@@ -397,24 +284,30 @@ fn cond_atom(c: &StateCond) -> String {
     }
 }
 
-/// Where a session's graphs live: a plain [`QueryCache`] (the
-/// single-caller path) or a [`Server`] (the multi-tenant front-end
-/// with single-flight builds, admission control, budgets, and disk).
-#[derive(Clone)]
-pub(crate) enum Backend {
-    Cache(Arc<QueryCache>),
-    Server { server: Server, tenant: String },
+/// The program a session asks about: borrowed from the caller, or
+/// compiled from source and owned ([`Session::from_source`]).
+enum Program<'i> {
+    Borrowed(&'i Interp),
+    Owned(Box<Interp>),
+}
+
+/// A session's graph store: the server that holds its graphs and the
+/// tenant its queries are charged to.
+struct Store {
+    server: Server,
+    tenant: Cow<'static, str>,
 }
 
 /// A query session over one program: the memoizing counterpart of
 /// [`Explorer`](crate::explore::Explorer), with the same builder
 /// surface.
 pub struct Session<'i> {
-    interp: &'i Interp,
+    program: Program<'i>,
     limits: Limits,
     reduction: Reduction,
     threads: Option<usize>,
-    backend: Backend,
+    /// `None`: no store, every query builds its graph afresh.
+    store: Option<Store>,
     /// Declared observation alphabet: unioned into every query's
     /// visibility (see [`Session::observing`]).
     obs_patterns: Vec<EventPattern>,
@@ -427,14 +320,26 @@ impl<'i> Session<'i> {
     }
 
     pub fn with_limits(interp: &'i Interp, limits: Limits) -> Self {
+        Session::open(Program::Borrowed(interp), limits)
+    }
+
+    fn open(program: Program<'i>, limits: Limits) -> Self {
         Session {
-            interp,
+            program,
             limits,
-            reduction: Reduction::from_env(),
+            reduction: Reduction::default(),
             threads: None,
-            backend: Backend::Cache(Arc::clone(QueryCache::global())),
+            store: default_store().map(QueryCache::store),
             obs_patterns: Vec::new(),
             obs_conds: Vec::new(),
+        }
+    }
+
+    /// The program this session asks about.
+    fn interp(&self) -> &Interp {
+        match &self.program {
+            Program::Borrowed(interp) => interp,
+            Program::Owned(interp) => interp,
         }
     }
 
@@ -469,9 +374,11 @@ impl<'i> Session<'i> {
         self
     }
 
-    /// Use a private cache instead of the process-global one.
+    /// Keep this session's graphs in `cache` instead of the default
+    /// store: exactly [`Session::via_server`] on the cache's server and
+    /// tenant.
     pub fn with_cache(mut self, cache: Arc<QueryCache>) -> Self {
-        self.backend = Backend::Cache(cache);
+        self.store = Some(cache.store());
         self
     }
 
@@ -500,17 +407,8 @@ impl<'i> Session<'i> {
     /// Route every graph lookup through a multi-tenant [`Server`] on
     /// behalf of `tenant` (normally spelled [`Server::session`]).
     pub fn via_server(mut self, server: &Server, tenant: &str) -> Self {
-        self.backend = Backend::Server { server: server.clone(), tenant: tenant.to_string() };
+        self.store = Some(Store { server: server.clone(), tenant: Cow::Owned(tenant.to_string()) });
         self
-    }
-
-    /// The query cache this session consults, when it consults one
-    /// directly (`None` when routed through a [`Server`]).
-    pub fn cache(&self) -> Option<&Arc<QueryCache>> {
-        match &self.backend {
-            Backend::Cache(cache) => Some(cache),
-            Backend::Server { .. } => None,
-        }
     }
 
     /// The graph-build worker count this session uses.
@@ -524,13 +422,13 @@ impl<'i> Session<'i> {
     /// cache entries regardless of the configured symmetry flag.
     fn effective_reduction(&self) -> Reduction {
         let mut reduction = self.reduction;
-        reduction.symmetry &= self.interp.compiled.has_symmetry();
+        reduction.symmetry &= self.interp().compiled.has_symmetry();
         reduction
     }
 
     fn key(&self, reduction: Reduction, vis: Vec<String>) -> GraphKey {
         GraphKey {
-            digest: self.interp.digest(),
+            digest: self.interp().digest(),
             max_states: self.limits.max_states,
             max_depth: self.limits.max_depth,
             max_setup_states: self.limits.max_setup_states,
@@ -545,18 +443,17 @@ impl<'i> Session<'i> {
         patterns: &[EventPattern],
         conds: &[StateCond],
     ) -> Result<Fetched, RuntimeError> {
-        self.graph_for(patterns, conds, self.effective_reduction()).map(|(fetched, _)| fetched)
+        self.graph_for(patterns, conds, self.effective_reduction())
     }
 
     /// [`Session::graph`] with the reduction chosen by the caller
-    /// (spec queries pin [`Reduction::NONE`] for fairness) and the
-    /// resolved [`GraphKey`] returned for verdict memoization.
+    /// (spec queries pin [`Reduction::NONE`] for fairness).
     fn graph_for(
         &self,
         patterns: &[EventPattern],
         conds: &[StateCond],
         reduction: Reduction,
-    ) -> Result<(Fetched, GraphKey), RuntimeError> {
+    ) -> Result<Fetched, RuntimeError> {
         // Widen the query's observations by the session's declared
         // alphabet (no-op for undeclared sessions): the graph must be
         // sound for everything the session might ask of it.
@@ -579,25 +476,22 @@ impl<'i> Session<'i> {
         } else {
             Vec::new()
         };
-        let key = self.key(reduction, vis.clone());
+        let key = self.key(reduction, vis);
         let visibility = Visibility { patterns: patterns.as_ref(), conds: conds.as_ref() };
         let build = || {
             StateGraph::build(
-                self.interp,
+                self.interp(),
                 self.limits,
                 reduction,
                 visibility,
                 self.effective_threads(),
-                vis,
+                key.vis.clone(),
             )
         };
-        let fetched = match &self.backend {
-            Backend::Cache(cache) => cache.obtain(key.clone(), build),
-            Backend::Server { server, tenant } => {
-                server.obtain(tenant, key.clone(), self.interp, build)
-            }
-        }?;
-        Ok((fetched, key))
+        match &self.store {
+            Some(store) => store.server.obtain(&store.tenant, &key, self.interp(), build),
+            None => Ok(Fetched::local(Arc::new(build()?), false)),
+        }
     }
 
     /// The graph answering observation-free queries (terminal
@@ -666,7 +560,7 @@ impl<'i> Session<'i> {
         let fetched = self.graph(query, setup)?;
         let query_begin = Instant::now();
         let (answer, evidence) =
-            fetched.graph.can_happen(self.interp, setup, query, self.limits.max_setup_states);
+            fetched.graph.can_happen(self.interp(), setup, query, self.limits.max_setup_states);
         let stats = Session::finish_stats(&fetched, begin, query_begin);
         Ok((answer, evidence, stats))
     }
@@ -681,8 +575,9 @@ impl<'i> Session<'i> {
     /// graph's visibility signature — an alphabet mentioning events
     /// the session's other queries never observe *widens* the
     /// signature and gets its own (sound) reduced graph — while the
-    /// spec digest rides only the verdict-memo key, so the many specs
-    /// of a spec bank share one graph build per alphabet signature.
+    /// spec digest keys only the verdict memo on that graph, so the
+    /// many specs of a spec bank share one graph build per alphabet
+    /// signature, and each spec is decided once per graph.
     /// Fairness specs ([`Spec::no_starvation`]) are decided on an
     /// unreduced graph (see [`crate::spec`] module docs).
     pub fn check_spec(&self, spec: &Spec) -> Result<SpecReport, RuntimeError> {
@@ -701,118 +596,26 @@ impl<'i> Session<'i> {
         let reduction =
             if monitor.has_fairness() { Reduction::NONE } else { self.effective_reduction() };
         let patterns: Vec<EventPattern> = monitor.alphabet().to_vec();
-        let (fetched, key) = self.graph_for(&patterns, &[], reduction)?;
+        let fetched = self.graph_for(&patterns, &[], reduction)?;
         let query_begin = Instant::now();
-        let compute = || crate::spec::check_on_graph(&fetched.graph, self.interp, &monitor);
-        let report = match &self.backend {
-            Backend::Cache(cache) => cache.obtain_spec(key, spec.digest(), compute).0,
-            // Server graphs are shared across tenants and verdicts
-            // are cheap store traversals: recompute instead of
-            // growing the server's eviction-managed surface.
-            Backend::Server { .. } => compute(),
-        };
+        let (report, hit) = fetched.graph.verdict(spec.digest(), || {
+            crate::spec::check_on_graph(&fetched.graph, self.interp(), &monitor)
+        });
+        if let Some(store) = &self.store {
+            store.server.count_verdict(hit);
+        }
         let stats = Session::finish_stats(&fetched, begin, query_begin);
         Ok((report, stats))
     }
 }
 
-/// A [`Session`] that owns its program — for call sites that compile
-/// from source and have no `Interp` to borrow (the conformance
-/// harness's model oracle, one-shot CLI queries).
-pub struct OwnedSession {
-    interp: Interp,
-    limits: Limits,
-    reduction: Reduction,
-    threads: Option<usize>,
-    backend: Backend,
-}
-
-impl OwnedSession {
-    /// Compile `source` and open a session over it. The cache key is
-    /// the source digest, so two `OwnedSession`s over identical source
-    /// share graphs.
-    pub fn from_source(source: &str) -> Result<OwnedSession, String> {
+impl Session<'static> {
+    /// Compile `source` and open a session that owns the program. The
+    /// cache key is the source digest, so every session over identical
+    /// source shares graphs, whether it owns or borrows its program.
+    pub fn from_source(source: &str) -> Result<Session<'static>, String> {
         let interp = Interp::from_source(source)?;
-        Ok(OwnedSession {
-            interp,
-            limits: Limits::default(),
-            reduction: Reduction::from_env(),
-            threads: None,
-            backend: Backend::Cache(Arc::clone(QueryCache::global())),
-        })
-    }
-
-    pub fn with_limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    pub fn without_por(mut self) -> Self {
-        self.reduction.por = false;
-        self
-    }
-
-    pub fn with_reduction(mut self, reduction: Reduction) -> Self {
-        self.reduction = reduction;
-        self
-    }
-
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
-    pub fn with_cache(mut self, cache: Arc<QueryCache>) -> Self {
-        self.backend = Backend::Cache(cache);
-        self
-    }
-
-    /// Route every graph lookup through a multi-tenant [`Server`] on
-    /// behalf of `tenant` (normally spelled [`Server::owned_session`]).
-    pub fn via_server(mut self, server: &Server, tenant: &str) -> Self {
-        self.backend = Backend::Server { server: server.clone(), tenant: tenant.to_string() };
-        self
-    }
-
-    pub fn interp(&self) -> &Interp {
-        &self.interp
-    }
-
-    /// The borrowed session all queries delegate through.
-    pub fn session(&self) -> Session<'_> {
-        Session {
-            interp: &self.interp,
-            limits: self.limits,
-            reduction: self.reduction,
-            threads: self.threads,
-            backend: self.backend.clone(),
-            obs_patterns: Vec::new(),
-            obs_conds: Vec::new(),
-        }
-    }
-
-    pub fn terminals(&self) -> Result<TerminalSet, RuntimeError> {
-        self.session().terminals()
-    }
-
-    pub fn can_happen(
-        &self,
-        setup: &[StateCond],
-        query: &[EventPattern],
-    ) -> Result<Answer, RuntimeError> {
-        self.session().can_happen(setup, query)
-    }
-
-    pub fn admits_trace(&self, trace: &[EventPattern]) -> Result<Answer, RuntimeError> {
-        self.session().admits_trace(trace)
-    }
-
-    pub fn check_spec(&self, spec: &Spec) -> Result<SpecReport, RuntimeError> {
-        self.session().check_spec(spec)
-    }
-
-    pub fn check_spec_with_stats(&self, spec: &Spec) -> Result<(SpecReport, Stats), RuntimeError> {
-        self.session().check_spec_with_stats(spec)
+        Ok(Session::open(Program::Owned(Box::new(interp)), Limits::default()))
     }
 }
 
@@ -910,27 +713,61 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.builds, stats.entries), (1, 1, 1, 1));
     }
 
+    /// The no-store reference path (`CONCUR_QUERY_CACHE=0` for
+    /// sessions opened without a store): every query builds afresh
+    /// and answers the same.
     #[test]
-    fn disabled_cache_rebuilds_and_stays_correct() {
-        let cache = Arc::new(QueryCache::with_enabled(false));
+    fn storeless_session_rebuilds_and_stays_correct() {
         let interp = Interp::from_source(figures::FIG3_TWO_PRINTS).expect("compiles");
-        let session = Session::new(&interp).with_cache(Arc::clone(&cache));
+        let mut session = Session::new(&interp);
+        session.store = None;
         let first = session.terminals().expect("explores");
         let second = session.terminals().expect("explores");
         assert_eq!(first.terminals, second.terminals);
+        assert_eq!(first.stats.cache_misses, 1, "every query pays a build");
+        assert_eq!(second.stats.cache_misses, 1, "every query pays a build");
+        let a = session.terminal_graph().expect("builds");
+        let b = session.terminal_graph().expect("builds");
+        assert!(!Arc::ptr_eq(&a, &b), "nothing is stored");
+    }
+
+    /// Racers on one cold key of a fresh cache park on a single build
+    /// and all receive its graph.
+    #[test]
+    fn racing_sessions_share_one_build() {
+        const RACERS: usize = 4;
+        let interp = Interp::from_source(&figures::dining(3)).expect("compiles");
+        let cache = Arc::new(QueryCache::new());
+        let barrier = std::sync::Barrier::new(RACERS);
+        let graphs: Vec<Arc<StateGraph>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..RACERS)
+                .map(|_| {
+                    let session =
+                        Session::new(&interp).with_cache(Arc::clone(&cache)).with_threads(1);
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        barrier.wait();
+                        session.terminal_graph().expect("builds")
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("racer")).collect()
+        });
+        for graph in &graphs[1..] {
+            assert!(Arc::ptr_eq(&graphs[0], graph), "racers received distinct graphs");
+        }
         let stats = cache.stats();
-        assert_eq!(stats.hits, 0, "a disabled cache never hits");
-        assert_eq!(stats.builds, 2, "every query pays a build");
-        assert_eq!(stats.entries, 0, "nothing is stored");
+        assert_eq!(stats.builds, 1, "one build for one cold key, however many race it");
+        assert_eq!((stats.hits + stats.misses, stats.entries), (RACERS, 1));
     }
 
     #[test]
     fn identical_source_shares_graphs_across_owned_sessions() {
         let cache = Arc::new(QueryCache::new());
-        let a = OwnedSession::from_source(figures::FIG1_ASSIGNMENTS)
+        let a = Session::from_source(figures::FIG1_ASSIGNMENTS)
             .expect("compiles")
             .with_cache(Arc::clone(&cache));
-        let b = OwnedSession::from_source(figures::FIG1_ASSIGNMENTS)
+        let b = Session::from_source(figures::FIG1_ASSIGNMENTS)
             .expect("compiles")
             .with_cache(Arc::clone(&cache));
         let ta = a.terminals().expect("explores");
@@ -938,15 +775,24 @@ mod tests {
         assert_eq!(ta.terminals, tb.terminals);
         assert_eq!(cache.stats().builds, 1, "same source digest, one build");
         assert_eq!(cache.stats().hits, 1);
+
+        // A session borrowing an interpreter compiled from the same
+        // source reads the very same graph.
+        let interp = Interp::from_source(figures::FIG1_ASSIGNMENTS).expect("compiles");
+        let borrowed = Session::new(&interp).with_cache(Arc::clone(&cache));
+        let owned_graph = a.terminal_graph().expect("explores");
+        let borrowed_graph = borrowed.terminal_graph().expect("explores");
+        assert!(Arc::ptr_eq(&owned_graph, &borrowed_graph), "owned and borrowed share one graph");
+        assert_eq!(cache.stats().builds, 1, "the borrowing session built nothing");
     }
 
     #[test]
     fn different_programs_never_share_entries() {
         let cache = Arc::new(QueryCache::new());
-        let a = OwnedSession::from_source(figures::FIG3_TWO_PRINTS)
+        let a = Session::from_source(figures::FIG3_TWO_PRINTS)
             .expect("compiles")
             .with_cache(Arc::clone(&cache));
-        let b = OwnedSession::from_source(figures::FIG3_SEQUENTIAL_FN)
+        let b = Session::from_source(figures::FIG3_SEQUENTIAL_FN)
             .expect("compiles")
             .with_cache(Arc::clone(&cache));
         let ta = a.terminals().expect("explores");

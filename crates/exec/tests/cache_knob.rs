@@ -1,19 +1,16 @@
-//! Regression tests for the `CONCUR_QUERY_CACHE` knob routing.
+//! Regression test for the `CONCUR_QUERY_CACHE` knob.
 //!
-//! The hazard this pins down: the knob used to be consulted by every
-//! cache construction, so a test binary that mutated the env var raced
-//! every other thread's cache construction (and whether the global
-//! cache saw the mutation depended on which test touched it first).
-//! The fix routes enabledness through constructor arguments —
-//! [`QueryCache::with_enabled`] always wins — and demotes the env var
-//! to a *default*, read freshly by [`QueryCache::from_env`] and
-//! snapshotted once by [`QueryCache::global`].
+//! The knob picks only the store of sessions opened without one, and
+//! it is read once per process: a knob consulted at every cache
+//! construction would race every thread of a test binary that mutates
+//! it. A `QueryCache` given explicitly memoizes whatever the
+//! environment says.
 //!
 //! Everything lives in one `#[test]` on purpose: these assertions
 //! mutate the process environment, and sibling tests in the same
 //! binary run on other threads.
 
-use concur_exec::{OwnedSession, QueryCache};
+use concur_exec::{QueryCache, Session};
 use std::sync::Arc;
 
 const MODEL: &str = r#"
@@ -27,50 +24,36 @@ ENDPARA
 PRINTLN x
 "#;
 
+/// Whether a session opened without a store answers a repeat query
+/// from a stored graph.
+fn default_store_memoizes() -> bool {
+    let session = Session::from_source(MODEL).expect("compiles");
+    session.terminals().expect("first query");
+    session.terminals().expect("second query").stats.cache_hits == 1
+}
+
 #[test]
-fn constructor_wins_over_environment() {
-    // 1. The constructor argument is authoritative: an enabled cache
-    //    built while the env var says "off" still memoizes, and a
-    //    disabled cache built while the env says "on" never does.
-    std::env::set_var("CONCUR_QUERY_CACHE", "0");
-    let enabled = Arc::new(QueryCache::with_enabled(true));
-    assert!(enabled.is_enabled(), "with_enabled(true) ignores CONCUR_QUERY_CACHE=0");
-    let session = OwnedSession::from_source(MODEL).unwrap().with_cache(Arc::clone(&enabled));
-    session.terminals().expect("first query builds");
-    session.terminals().expect("second query hits");
-    let stats = enabled.stats();
-    assert_eq!((stats.builds, stats.hits), (1, 1), "enabled cache memoizes despite env=0");
+fn the_knob_picks_the_default_store_once() {
+    // 1. The default store follows the environment at its first use,
+    //    and later mutations do not reach it.
+    let ambient_on = std::env::var("CONCUR_QUERY_CACHE").map_or(true, |v| v.trim() != "0");
+    assert_eq!(default_store_memoizes(), ambient_on, "the default store follows the knob");
+    std::env::set_var("CONCUR_QUERY_CACHE", if ambient_on { "0" } else { "1" });
+    assert_eq!(default_store_memoizes(), ambient_on, "the knob is read once per process");
 
-    std::env::set_var("CONCUR_QUERY_CACHE", "1");
-    let disabled = Arc::new(QueryCache::with_enabled(false));
-    assert!(!disabled.is_enabled(), "with_enabled(false) ignores CONCUR_QUERY_CACHE=1");
-    let session = OwnedSession::from_source(MODEL).unwrap().with_cache(Arc::clone(&disabled));
-    session.terminals().expect("first query builds");
-    session.terminals().expect("second query rebuilds");
-    let stats = disabled.stats();
-    assert_eq!((stats.builds, stats.hits), (2, 0), "disabled cache rebuilds despite env=1");
-    assert_eq!(stats.entries, 0, "a disabled cache stores nothing");
-
-    // 2. `new()` is fixed-enabled regardless of the environment.
-    std::env::set_var("CONCUR_QUERY_CACHE", "0");
-    assert!(QueryCache::new().is_enabled(), "new() deliberately ignores the env knob");
-
-    // 3. `from_env()` reads the env var freshly at each call — it is
-    //    the only constructor the knob reaches.
-    assert!(!QueryCache::from_env().is_enabled());
-    assert!(!QueryCache::env_enabled());
-    std::env::set_var("CONCUR_QUERY_CACHE", "1");
-    assert!(QueryCache::from_env().is_enabled());
-    assert!(QueryCache::env_enabled());
-    std::env::remove_var("CONCUR_QUERY_CACHE");
-    assert!(QueryCache::from_env().is_enabled(), "unset defaults to enabled");
-
-    // 4. An already-constructed cache never re-reads the env var:
-    //    late mutations cannot flip a live cache's behavior.
-    std::env::set_var("CONCUR_QUERY_CACHE", "0");
-    assert!(enabled.is_enabled(), "live cache keeps its constructed enabledness");
-    let session = OwnedSession::from_source(MODEL).unwrap().with_cache(Arc::clone(&enabled));
-    session.terminals().expect("still hits");
-    assert_eq!(enabled.stats().hits, 2, "env mutation did not reach the live cache");
+    // 2. An explicit cache memoizes whatever the environment says.
+    for value in ["0", "1"] {
+        std::env::set_var("CONCUR_QUERY_CACHE", value);
+        let cache = Arc::new(QueryCache::new());
+        let session = Session::from_source(MODEL).unwrap().with_cache(Arc::clone(&cache));
+        session.terminals().expect("first query builds");
+        session.terminals().expect("second query hits");
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.builds, stats.hits, stats.entries),
+            (1, 1, 1),
+            "an explicit cache memoizes under CONCUR_QUERY_CACHE={value}"
+        );
+    }
     std::env::remove_var("CONCUR_QUERY_CACHE");
 }

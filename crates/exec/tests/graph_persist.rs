@@ -9,7 +9,7 @@
 //! ledger exact.
 
 use concur_conformance::models;
-use concur_exec::{OwnedSession, QueryCache, Server, ServerConfig};
+use concur_exec::{QueryCache, Server, ServerConfig, Session};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -41,7 +41,7 @@ fn persisted_bytes_match_fresh_build_and_warm_restart_builds_nothing() {
     // Server A builds cold and persists.
     let server_a = Server::new(ServerConfig::new().disk(&dir));
     let session = server_a.owned_session("t", src).expect("model compiles");
-    let built = session.session().terminal_graph().expect("cold build");
+    let built = session.terminal_graph().expect("cold build");
     let truth = session.terminals().expect("warm read");
     assert_eq!(server_a.tenant_stats("t").builds, 1);
 
@@ -52,10 +52,9 @@ fn persisted_bytes_match_fresh_build_and_warm_restart_builds_nothing() {
     assert_eq!(files.len(), 1, "one graph, one store file");
     let on_disk = std::fs::read(&files[0]).expect("store file readable");
     assert_eq!(on_disk, built.to_bytes(), "store file is the build's serialization");
-    let independent = OwnedSession::from_source(src)
-        .expect("model compiles")
-        .with_cache(Arc::new(QueryCache::new()));
-    let fresh = independent.session().terminal_graph().expect("independent build");
+    let independent =
+        Session::from_source(src).expect("model compiles").with_cache(Arc::new(QueryCache::new()));
+    let fresh = independent.terminal_graph().expect("independent build");
     assert_eq!(on_disk, fresh.to_bytes(), "store file matches a fresh independent build");
 
     // Server B (a "restart") answers warm from disk: zero builds, one
@@ -63,7 +62,7 @@ fn persisted_bytes_match_fresh_build_and_warm_restart_builds_nothing() {
     // byte-level fixed point.
     let server_b = Server::new(ServerConfig::new().disk(&dir));
     let session_b = server_b.owned_session("t", src).expect("model compiles");
-    let reloaded = session_b.session().terminal_graph().expect("disk load");
+    let reloaded = session_b.terminal_graph().expect("disk load");
     let warm = session_b.terminals().expect("warm read");
     let stats_b = server_b.tenant_stats("t");
     assert_eq!(stats_b.builds, 0, "warm restart must not rebuild");
@@ -116,7 +115,6 @@ fn lru_evicts_the_coldest_graph_first_and_accounting_stays_exact() {
                 let size = probe
                     .owned_session("probe", src)
                     .expect("compiles")
-                    .session()
                     .terminal_graph()
                     .expect("build")
                     .node_count();

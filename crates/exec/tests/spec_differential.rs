@@ -12,11 +12,11 @@ use concur_conformance::{spec_bank, SpecEntry};
 use concur_decide::TraceArtifact;
 use concur_exec::explore::Reduction;
 use concur_exec::{
-    Event, EventKindPattern, EventPattern, OwnedSession, QueryCache, ReplayScheduler, Server,
-    ServerConfig, SpecReport,
+    Event, EventKindPattern, EventPattern, QueryCache, ReplayScheduler, Server, ServerConfig,
+    Session, SpecReport,
 };
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("concur-specdiff-{}-{name}", std::process::id()));
@@ -24,8 +24,8 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-fn session_for(entry: &SpecEntry, workers: usize, cache: Arc<QueryCache>) -> OwnedSession {
-    OwnedSession::from_source(&entry.model)
+fn session_for(entry: &SpecEntry, workers: usize, cache: Arc<QueryCache>) -> Session<'static> {
+    Session::from_source(&entry.model)
         .expect("bank model compiles")
         .with_threads(workers)
         .with_cache(cache)
@@ -70,7 +70,7 @@ fn spec_verdicts_are_byte_identical_across_workers() {
 fn spec_verdicts_are_reduction_invariant() {
     for entry in spec_bank() {
         for reduction in [Reduction::NONE, Reduction::FULL] {
-            let report = OwnedSession::from_source(&entry.model)
+            let report = Session::from_source(&entry.model)
                 .expect("bank model compiles")
                 .with_reduction(reduction)
                 .with_cache(Arc::new(QueryCache::new()))
@@ -96,7 +96,7 @@ fn spec_verdicts_are_reduction_invariant() {
 #[test]
 fn counterexamples_round_trip_and_replay() {
     for entry in spec_bank().iter().filter(|e| !e.holds) {
-        let session = OwnedSession::from_source(&entry.model)
+        let session = Session::from_source(&entry.model)
             .expect("bank model compiles")
             .with_cache(Arc::new(QueryCache::new()));
         let report = session.check_spec(&entry.spec).expect(entry.name);
@@ -187,25 +187,58 @@ fn disk_restored_server_answers_specs_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `CONCUR_SPEC=0` (spelled via the builder) disables only the
-/// verdict memo: graphs stay shared, answers stay identical.
+/// The spec whose product the concurrent memo check races on: a
+/// fairness entry, decided on the unreduced graph with starvation
+/// counters, so each decision takes milliseconds and the clients'
+/// checks overlap.
+const SLOW_PRODUCT: &str = "sum_worker_fair_at_k64";
+
+/// The verdict memo lives on the graph, so a tenant `Server` serves it
+/// as a cache does: a repeat check is a memo hit equal to the first, a
+/// check after the tenant's graphs are evicted decides afresh and
+/// agrees, and concurrent identical checks decide once.
 #[test]
-fn disabling_the_spec_memo_changes_counters_not_answers() {
-    let entry = spec_bank().into_iter().find(|e| e.name == "dining_ordered_both_eat").unwrap();
-    let on = Arc::new(QueryCache::new());
-    let off = Arc::new(QueryCache::new().with_spec_enabled(false));
-    let with_memo = session_for(&entry, 2, Arc::clone(&on));
-    let without_memo = session_for(&entry, 2, Arc::clone(&off));
+fn server_sessions_memoize_verdicts_on_the_graph() {
+    let entry = spec_bank().into_iter().find(|e| e.name == SLOW_PRODUCT).expect("bank entry");
+    let check = |server: &Server, tenant: &str| {
+        let session = server.owned_session(tenant, &entry.model).expect("compiles");
+        session.check_spec(&entry.spec).expect(entry.name)
+    };
+    let server = Server::new(ServerConfig::new());
+    let first = check(&server, "t");
+    assert_eq!(first.holds, entry.holds, "verdict drifted");
+    let second = check(&server, "t");
+    assert_eq!(second, first, "a memo hit equals the decided verdict");
+    let stats = server.stats();
+    assert_eq!((stats.spec_misses, stats.spec_hits), (1, 1), "the repeat check hits the memo");
 
-    let a1 = with_memo.check_spec(&entry.spec).expect("ok");
-    let a2 = with_memo.check_spec(&entry.spec).expect("ok");
-    let b1 = without_memo.check_spec(&entry.spec).expect("ok");
-    let b2 = without_memo.check_spec(&entry.spec).expect("ok");
-    assert_eq!(a1, a2);
-    assert_eq!(a1, b1);
-    assert_eq!(b1, b2);
+    assert_eq!(server.evict_tenant("t"), 1, "the tenant's one graph leaves the server");
+    let third = check(&server, "t");
+    assert_eq!(third, first, "a fresh decision after eviction agrees");
+    assert_eq!(server.stats().spec_misses, 2, "the evicted graph took its verdict with it");
 
-    assert_eq!(on.stats().spec_hits, 1, "memo on: second query hits");
-    assert_eq!(off.stats().spec_hits, 0, "memo off: never hits");
-    assert_eq!(off.stats().builds, 1, "memo off still shares the graph build");
+    const CLIENTS: usize = 4;
+    let server = Server::new(ServerConfig::new());
+    let barrier = Barrier::new(CLIENTS);
+    let reports: Vec<SpecReport> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let session =
+                    server.owned_session(&format!("client-{c}"), &entry.model).expect("compiles");
+                let (barrier, spec) = (&barrier, &entry.spec);
+                scope.spawn(move || {
+                    barrier.wait();
+                    session.check_spec(spec).expect("checks")
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("client")).collect()
+    });
+    assert!(reports.iter().all(|r| *r == first), "every client reads the one verdict");
+    let stats = server.stats();
+    assert_eq!(
+        (stats.spec_misses, stats.spec_hits),
+        (1, CLIENTS - 1),
+        "concurrent identical checks decide once"
+    );
 }

@@ -9,8 +9,8 @@ use std::pin::Pin;
 use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
-/// Default step bound before a run is reported as diverged.
-/// Overridable via `CONCUR_TASKS_MAX_STEPS`.
+/// Default step bound before a run is reported as diverged
+/// ([`Executor::with_max_steps`] changes it).
 pub const DEFAULT_MAX_STEPS: usize = 100_000;
 
 /// A park/wake predicate: shared because both the task's `Request`
@@ -99,11 +99,7 @@ impl Default for Executor {
 
 impl Executor {
     pub fn new() -> Executor {
-        let max_steps = std::env::var("CONCUR_TASKS_MAX_STEPS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_MAX_STEPS);
-        Executor { core: Rc::new(RefCell::new(Core::default())), max_steps }
+        Executor { core: Rc::new(RefCell::new(Core::default())), max_steps: DEFAULT_MAX_STEPS }
     }
 
     /// Override the divergence bound (tests).

@@ -19,10 +19,10 @@
 //! runnable, woken by a [`std::task::Waker`], or parked on a
 //! [`Ctx::wait_until`] predicate that now holds — and asks the kernel
 //! which one to poll. An empty ready set with live tasks is a
-//! deadlock; exceeding the step bound (`CONCUR_TASKS_MAX_STEPS`,
-//! default 100 000) reports divergence. Both are ordinary [`Report`]
-//! outcomes, not panics, so the conformance fuzzer can cross-check
-//! them against the model's verdict.
+//! deadlock; exceeding the step bound ([`DEFAULT_MAX_STEPS`], 100 000,
+//! or [`Executor::with_max_steps`]) reports divergence. Both are
+//! ordinary [`Report`] outcomes, not panics, so the conformance fuzzer
+//! can cross-check them against the model's verdict.
 //!
 //! Tasks park (they leave the ready set) rather than spin on
 //! re-polls: a spinning `wait_until` would burn unbounded `Poll`

@@ -16,6 +16,5 @@ pub use concur_threads as threads;
 /// The build-once-query-many entry points: memoized query sessions
 /// over persistent state graphs (see `concur_exec::session`).
 pub use concur_exec::{
-    GraphMeta, OwnedSession, QueryCache, Server, ServerConfig, ServerStats, Session, StateGraph,
-    TenantStats,
+    GraphMeta, QueryCache, Server, ServerConfig, ServerStats, Session, StateGraph, TenantStats,
 };
