@@ -20,7 +20,7 @@ pub trait StateView {
 
 impl StateView for State {
     fn task_at(&self, id: TaskId) -> Option<&Task> {
-        self.tasks.get(id.0)
+        self.tasks.get(id.0).map(|t| &**t)
     }
 
     fn labelled(&self, label: &str) -> Option<&Task> {

@@ -30,7 +30,7 @@ use crate::intern::{canonicalize_live, ClaimTable, FxHashSet, Interner, StateSig
 use crate::interp::{Choice, Interp, Outcome};
 use crate::state::{State, TaskId, TaskStatus};
 use crate::value::RuntimeError;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// Exploration bounds. Exploration is exact when neither bound is hit;
@@ -355,6 +355,14 @@ pub(crate) fn choice_task(choice: &Choice) -> TaskId {
         Choice::Step(t) => *t,
         Choice::Receive { task, .. } => *task,
     }
+}
+
+/// The index range of `task`'s choices in a list [`Interp::choices`]
+/// built: it lists each task's choices contiguously, in ascending task
+/// order.
+fn task_run(choices: &[Choice], task: TaskId) -> std::ops::Range<usize> {
+    choices.partition_point(|c| choice_task(c) < task)
+        ..choices.partition_point(|c| choice_task(c) <= task)
 }
 
 /// How a node's successors are produced. The `sleeps` vectors run
@@ -1286,18 +1294,24 @@ impl<'i> Explorer<'i> {
         ctx: &mut C,
         stats: &mut Stats,
     ) -> Result<Option<AmpleOut>, RuntimeError> {
-        let mut by_task: BTreeMap<TaskId, Vec<usize>> = BTreeMap::new();
-        for (i, choice) in choices.iter().enumerate() {
-            by_task.entry(choice_task(choice)).or_default().push(i);
-        }
-        if by_task.len() < 2 {
+        // The candidates are the runs of one task's choices, in task
+        // order: the order `Interp::choices` lists them in.
+        debug_assert!(
+            choices.windows(2).all(|w| choice_task(&w[0]) <= choice_task(&w[1])),
+            "choices are grouped by task in ascending order"
+        );
+        if choices.first().map(choice_task) == choices.last().map(choice_task) {
             return Ok(None);
         }
         let footprints: Vec<_> =
             choices.iter().map(|c| self.interp.choice_footprint(state, c)).collect();
 
-        'candidate: for (&tid, idxs) in &by_task {
-            for &i in idxs {
+        let mut next_run = 0;
+        'candidate: while next_run < choices.len() {
+            let tid = choice_task(&choices[next_run]);
+            let idxs = task_run(choices, tid);
+            next_run = idxs.end;
+            for i in idxs.clone() {
                 let fp = &footprints[i];
                 if fp.unknown
                     || fp.may_match_patterns(visibility.patterns)
@@ -1314,16 +1328,16 @@ impl<'i> Explorer<'i> {
             let shielded: Vec<_> = if candidate.held.is_empty() {
                 Vec::new() // nothing held, nothing to shield
             } else {
-                idxs.iter()
-                    .map(|&i| self.interp.shield_footprint(candidate, &footprints[i]))
+                idxs.clone()
+                    .map(|i| self.interp.shield_footprint(candidate, &footprints[i]))
                     .collect()
             };
-            for other in &state.tasks {
-                if other.id == tid || matches!(other.status, TaskStatus::Done) {
+            for (o, other) in state.tasks.iter().enumerate() {
+                if o == tid.0 || matches!(other.status, TaskStatus::Done) {
                     continue;
                 }
                 let conflicts = if shielded.is_empty() {
-                    idxs.iter().any(|&i| self.interp.future_conflicts(other, &footprints[i]))
+                    idxs.clone().any(|i| self.interp.future_conflicts(other, &footprints[i]))
                 } else {
                     shielded.iter().any(|fp| self.interp.future_conflicts(other, fp))
                 };
@@ -1341,7 +1355,7 @@ impl<'i> Explorer<'i> {
             let mut succs = Vec::with_capacity(idxs.len());
             let mut states = Vec::with_capacity(idxs.len());
             let mut sleeps = Vec::new();
-            for &i in idxs {
+            for i in idxs {
                 let mut next = state.clone();
                 let events = self.interp.apply(&mut next, &choices[i])?;
                 let perm = self.normalize(reduction, ctx.pools(), &mut next, stats);
@@ -1357,13 +1371,10 @@ impl<'i> Explorer<'i> {
                         let b = m.trailing_zeros();
                         m &= m - 1;
                         let slept = TaskId(b as usize);
-                        if let Some(js) = by_task.get(&slept) {
-                            // Sleepable tasks have exactly one choice.
-                            if let [j] = js[..] {
-                                if !footprints[j].conflicts_with(&footprints[i]) {
-                                    z |= sleep_bit(slept);
-                                }
-                            }
+                        // Sleepable tasks have exactly one choice.
+                        let js = task_run(choices, slept);
+                        if js.len() == 1 && !footprints[js.start].conflicts_with(&footprints[i]) {
+                            z |= sleep_bit(slept);
                         }
                     }
                     sleeps.push(remap_sleep(z, perm.as_deref()));

@@ -878,7 +878,7 @@ impl StateGraph {
                     let choice = choices
                         .get(pick)
                         .ok_or_else(|| format!("pick {pick} out of range at node {id}"))?;
-                    let mut next_state = state.clone();
+                    let mut next_state = state;
                     edges.events.extend(
                         interp
                             .apply(&mut next_state, choice)

@@ -10,6 +10,12 @@
 //! *exactly* (the visited set no longer relies on 64-bit hashes being
 //! collision-free).
 //!
+//! States are copy-on-write (see [`crate::state`]), and the pools keep
+//! the shared payloads themselves: a fresh component's handle moves
+//! into its pool, [`Interner::materialize`] hands the pools' handles
+//! back out, and a component a step did not write is still the pool's
+//! own payload, found by its address without hashing.
+//!
 //! One concrete backend — [`Interner`] — serves both exploration
 //! drivers: the serial DFS (`explore.rs`) and the level-synchronized
 //! graph builder (`graph.rs`), whose workers share one interner across
@@ -35,10 +41,10 @@
 //!   under. For plain membership exactly one `claim` per key ever
 //!   sees `true`, from however many threads.
 //!
-//! The same table and arena also hold each exploration's orbit-key
-//! memo (`OrbitKeys`): symmetry canonicalization sorts sibling task
-//! records by a rendered key, and the memo renders each distinct
-//! record's key once instead of on every transition.
+//! The same table and arena also hold each exploration's orbit keys
+//! (`KeyTable`): symmetry canonicalization sorts sibling task records
+//! by a rendered key, and the table renders each task-pool record's
+//! key once instead of on every transition.
 //!
 //! Interning is per-exploration: signatures from different
 //! [`Interner`]s are meaningless to compare.
@@ -46,12 +52,14 @@
 use crate::event::StateView;
 use crate::state::{Cell, InFlight, Object, Output, State, Task, TaskId};
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::cell::UnsafeCell;
+use std::cmp::Ordering as CmpOrdering;
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// The rustc-style Fx hasher: multiplicative, not HashDoS-resistant —
 /// exactly right for hashing interpreter states, where speed dominates
@@ -127,7 +135,7 @@ pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 pub(crate) type FxHashSet<T> = std::collections::HashSet<T, FxBuild>;
 pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuild>;
 
-pub(crate) fn fx_hash_of<T: Hash>(value: &T) -> u64 {
+pub(crate) fn fx_hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
     FxBuild::default().hash_one(value)
 }
 
@@ -140,15 +148,30 @@ pub(crate) fn fx_hash_of<T: Hash>(value: &T) -> u64 {
 /// interpreter emits from those states (they copy `inflight.seq`)
 /// would differ between otherwise identical explorations — breaking
 /// the state-graph store's promise that a build is byte-identical at
-/// any worker count. Normalizing at materialize time (`seq` :=
-/// position in the canonical multiset order, `from` := task 0) costs
-/// nothing extra — the clone out of the pool is already paid — and
-/// makes every materialized state a pure function of its [`StateSig`].
+/// any worker count. So the pools store every message list with
+/// canonical tags (`seq` := position in the list, `from` := task 0),
+/// and every materialized state is a pure function of its
+/// [`StateSig`] without rewriting anything.
 fn canonicalize_tags(msgs: &mut [InFlight]) {
     for (i, m) in msgs.iter_mut().enumerate() {
         m.seq = i as u64;
         m.from = TaskId(0);
     }
+}
+
+/// Whether a list's tags are already [`canonicalize_tags`]'s.
+fn tags_canonical(msgs: &[InFlight]) -> bool {
+    msgs.iter().enumerate().all(|(i, m)| m.seq == i as u64 && m.from == TaskId(0))
+}
+
+/// The in-flight multiset's canonical order: by the Eq-class key
+/// (`to`, `msg`), the order [`State::add_inflight`] inserts in.
+fn by_eq_class(a: &InFlight, b: &InFlight) -> CmpOrdering {
+    (a.to.0, &a.msg).cmp(&(b.to.0, &b.msg))
+}
+
+fn in_canonical_order(msgs: &[InFlight]) -> bool {
+    msgs.windows(2).all(|w| by_eq_class(&w[0], &w[1]).is_le())
 }
 
 /// Rewrite a live (just-applied) state into exactly the form
@@ -158,14 +181,18 @@ fn canonicalize_tags(msgs: &mut [InFlight]) {
 /// successor state from hop to hop instead of round-tripping
 /// `intern` → `materialize` through the pools; this keeps the shortcut
 /// observationally identical — a re-walk entering the corridor at the
-/// same signature sees a byte-identical state either way.
+/// same signature sees a byte-identical state either way. A list that
+/// is already canonical is left shared.
 pub(crate) fn canonicalize_live(state: &mut State) {
     state.steps = 0;
-    if state.inflight.len() > 1 {
-        state.inflight.sort_by(|a, b| (a.to.0, &a.msg).cmp(&(b.to.0, &b.msg)));
+    if !in_canonical_order(&state.inflight) {
+        Arc::make_mut(&mut state.inflight).sort_by(by_eq_class);
     }
-    canonicalize_tags(&mut state.inflight);
-    canonicalize_tags(&mut state.dead_letters);
+    for msgs in [&mut state.inflight, &mut state.dead_letters] {
+        if !tags_canonical(msgs) {
+            canonicalize_tags(Arc::make_mut(msgs).as_mut_slice());
+        }
+    }
 }
 
 /// Canonicalize a state to its symmetry-orbit representative.
@@ -180,19 +207,20 @@ pub(crate) fn canonicalize_live(state: &mut State) {
 /// the interner hash-conses the whole orbit onto one `StateSig` and
 /// the explored graph is the quotient graph.
 ///
-/// `TaskId`s live in exactly three places — `Task.id` (== its index
-/// in `State.tasks`), `Task.parent`, and the owner half of
-/// `State.locks` values — and all three are remapped through the
-/// permutation. `InFlight.from` is deliberately left alone: its
-/// `Eq`/`Hash` ignore it and `canonicalize_tags` rewrites it at
-/// materialize time. [`Value`] has no task-id variant, so
-/// globals/objects/locals need no rewriting. Groups whose parent is
-/// itself a symmetric task are skipped — identity is always a sound
-/// canonical form, and permuting nested groups independently of their
-/// parents is not.
+/// A task's id is its index in `State.tasks`, so moving the record
+/// handles renumbers the tasks. Ids stored elsewhere live in exactly
+/// two places — `Task.parent` and the owner half of `State.locks`
+/// values — and both are remapped through the permutation: a record
+/// is copied only when its parent moved, the lock table only when an
+/// owner did. `InFlight.from` is deliberately left alone: its
+/// `Eq`/`Hash` ignore it and the pools store canonical tags. [`Value`]
+/// has no task-id variant, so globals/objects/locals need no
+/// rewriting. Groups whose parent is itself a symmetric task are
+/// skipped — identity is always a sound canonical form, and permuting
+/// nested groups independently of their parents is not.
 ///
-/// The id-blind key is the record's `Debug` rendering with `id`
-/// masked (`parent` is constant within a group). Every field that
+/// The id-blind key is the record's `Debug` rendering (records carry
+/// no id; `parent` is constant within a group). Every field that
 /// could distinguish two siblings is in the record — held locks are
 /// mirrored in `Task.held` — so equal keys mean genuinely
 /// interchangeable tasks, and the original-index tie-break cannot
@@ -202,10 +230,10 @@ pub(crate) fn canonicalize_live(state: &mut State) {
 ///
 /// This free function renders every sibling's key on every call; it
 /// is the reference. Explorations canonicalize through
-/// `Interner::canonicalize_symmetry` instead, which renders each
-/// distinct record's key once and looks it up afterwards. The key is a
-/// pure function of the record minus `id`, so a stored key is the
-/// string this function would render, the sort sees the same
+/// `Interner::canonicalize_symmetry` instead, which keeps one key per
+/// task-pool record and looks it up afterwards. The key is a pure
+/// function of the record, so a stored key is the string this
+/// function would render, the sort sees the same
 /// `(key, original index)` pairs, and both pick the same
 /// representative and permutation.
 ///
@@ -214,23 +242,22 @@ pub(crate) fn canonicalize_live(state: &mut State) {
 /// representative. Callers tracking per-task metadata keyed by id
 /// (sleep sets) must remap it through the permutation.
 pub fn canonicalize_symmetry(state: &mut State) -> Option<Vec<usize>> {
-    canonicalize_by(state, render_orbit_key)
+    canonicalize_by(state, |task| render_orbit_key(task))
 }
 
-/// A task record's id-blind orbit key: its `Debug` rendering with
-/// `id` masked.
+/// A task record's id-blind orbit key: its `Debug` rendering (records
+/// carry no id, so the rendering is id-blind as it stands).
 fn render_orbit_key(task: &Task) -> String {
-    let mut t = task.clone();
-    t.id = TaskId(0);
-    format!("{t:?}")
+    format!("{task:?}")
 }
 
 /// The one grouping, sort and permute routine behind both
 /// [`canonicalize_symmetry`] and [`Interner::canonicalize_symmetry`];
-/// `key` supplies a sibling's orbit key, rendered or looked up.
+/// `key` supplies a sibling's orbit key, rendered or looked up, and may
+/// swap the sibling's handle for an equal one.
 fn canonicalize_by<K: Ord>(
     state: &mut State,
-    mut key: impl FnMut(&Task) -> K,
+    mut key: impl FnMut(&mut Arc<Task>) -> K,
 ) -> Option<Vec<usize>> {
     // Sibling groups keyed by (parent index, symmetry class).
     let mut groups: BTreeMap<(usize, u32), Vec<usize>> = BTreeMap::new();
@@ -253,7 +280,7 @@ fn canonicalize_by<K: Ord>(
     let mut changed = false;
     for members in groups.values() {
         let mut keyed: Vec<(K, usize)> =
-            members.iter().map(|&i| (key(&state.tasks[i]), i)).collect();
+            members.iter().map(|&i| (key(&mut state.tasks[i]), i)).collect();
         keyed.sort();
         for (&slot, (_, old)) in members.iter().zip(keyed.iter()) {
             if perm[*old] != slot {
@@ -266,17 +293,26 @@ fn canonicalize_by<K: Ord>(
         return None;
     }
 
-    // Records move to their new index, and every `TaskId` the state
-    // holds follows them.
-    let mut permuted: Vec<Option<Task>> = vec![None; n];
-    for (old, mut t) in state.tasks.drain(..).enumerate() {
-        t.id = TaskId(perm[old]);
-        t.parent = t.parent.map(|p| TaskId(perm[p.0]));
-        permuted[perm[old]] = Some(t);
+    // Record handles move to their new index along the permutation's
+    // cycles (`dest[i]`: where the handle now at `i` belongs), and
+    // every `TaskId` the state stores follows them.
+    let mut dest = perm.clone();
+    for i in 0..n {
+        while dest[i] != i {
+            let j = dest[i];
+            state.tasks.swap(i, j);
+            dest.swap(i, j);
+        }
     }
-    state.tasks = permuted.into_iter().map(|t| t.expect("permutation is a bijection")).collect();
-    for owner in state.locks.values_mut() {
-        owner.0 = TaskId(perm[owner.0 .0]);
+    for task in &mut state.tasks {
+        if let Some(parent) = task.parent.filter(|p| perm[p.0] != p.0) {
+            Arc::make_mut(task).parent = Some(TaskId(perm[parent.0]));
+        }
+    }
+    if state.locks.values().any(|(owner, _)| perm[owner.0] != owner.0) {
+        for owner in Arc::make_mut(&mut state.locks).values_mut() {
+            owner.0 = TaskId(perm[owner.0 .0]);
+        }
     }
     Some(perm)
 }
@@ -320,12 +356,20 @@ const ARENA_BASE: usize = 64;
 /// slots, saturating the `u32 >> ARENA_SHARD_BITS` id space.
 const ARENA_CHUNKS: usize = 24;
 
+/// A shard's reservation cursor: the next free slot and the inline
+/// bytes of the payloads pushed so far (statistics only).
+#[derive(Default)]
+struct Cursor {
+    len: AtomicU32,
+    bytes: AtomicUsize,
+}
+
 struct ArenaShard<T> {
     /// Next free slot. Relaxed `fetch_add` *reserves*; publication of
     /// the slot's contents rides the table-slot CAS (see [`Table`]).
     /// Padded: every interning thread bumps some shard cursor on
     /// every miss, and the cursors would otherwise share lines.
-    len: CachePadded<AtomicU32>,
+    cursor: CachePadded<Cursor>,
     /// Geometrically growing chunks, each pinned once allocated:
     /// slot `s` lives in chunk `⌊log2(s/BASE + 1)⌋` forever, so a
     /// `&T` handed out for an id stays valid while the arena lives —
@@ -361,7 +405,7 @@ impl<T> Arena<T> {
     fn new() -> Self {
         let shards = (0..ARENA_SHARDS)
             .map(|_| ArenaShard {
-                len: CachePadded(AtomicU32::new(0)),
+                cursor: CachePadded::default(),
                 chunks: std::array::from_fn(|_| OnceLock::new()),
             })
             .collect();
@@ -375,17 +419,19 @@ impl<T> Arena<T> {
         (k, s - ARENA_BASE * ((1 << k) - 1))
     }
 
-    /// Store `value` in the shard selected by `shard_hint` and return
-    /// its arena id. The id is meaningless to other threads until
-    /// published through a table-slot CAS.
-    fn push(&self, shard_hint: u64, value: T) -> u32 {
+    /// Store `value`, whose payload is `bytes` long, in the shard
+    /// selected by `shard_hint` and return its arena id. The id is
+    /// meaningless to other threads until published through a
+    /// table-slot CAS.
+    fn push(&self, shard_hint: u64, value: T, bytes: usize) -> u32 {
         let shard_ix = (shard_hint as usize) & (ARENA_SHARDS - 1);
         let shard = &self.shards[shard_ix];
         // Relaxed: this is a pure slot reservation. The happens-before
         // edge readers need (payload write → read) is provided by the
         // Release CAS that publishes the id and the Acquire load that
         // observes it, not by this counter.
-        let slot = shard.len.fetch_add(1, Ordering::Relaxed) as usize;
+        let slot = shard.cursor.len.fetch_add(1, Ordering::Relaxed) as usize;
+        shard.cursor.bytes.fetch_add(bytes, Ordering::Relaxed);
         assert!(slot < (1 << (32 - ARENA_SHARD_BITS)), "arena shard overflow");
         let (k, off) = Self::locate(slot);
         let chunk = shard.chunks[k].get_or_init(|| {
@@ -412,10 +458,15 @@ impl<T> Arena<T> {
     }
 
     /// Total slots reserved (including unpublished race waste).
+    #[cfg(test)]
     fn len(&self) -> usize {
-        // Acquire pairs with nothing in particular — this is only
-        // read for statistics and at drop time, after threads joined.
-        self.shards.iter().map(|s| s.len.load(Ordering::Acquire) as usize).sum()
+        self.shards.iter().map(|s| s.cursor.len.load(Ordering::Relaxed) as usize).sum()
+    }
+
+    /// Inline bytes of every payload pushed (race waste included). Read
+    /// for statistics only.
+    fn bytes(&self) -> usize {
+        self.shards.iter().map(|s| s.cursor.bytes.load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -424,7 +475,7 @@ impl<T> Drop for Arena<T> {
         // &mut self: all writers are done (scoped threads joined), so
         // every reserved slot is fully written.
         for shard in self.shards.iter_mut() {
-            let mut remaining = *shard.len.get_mut() as usize;
+            let mut remaining = *shard.cursor.len.get_mut() as usize;
             for (k, chunk) in shard.chunks.iter_mut().enumerate() {
                 let Some(chunk) = chunk.get_mut() else { break };
                 let cap = ARENA_BASE << k;
@@ -450,6 +501,23 @@ const SEGS: usize = 8;
 /// Triangular offsets 0,1,3,…,120 — all distinct and < SEG0_CAP, so a
 /// window never revisits a slot.
 const PROBE_WINDOW: usize = 16;
+
+/// The probe window of segment `k`: [`PROBE_WINDOW`] in the two small,
+/// cache-resident segments, twice that from the 64K-slot segment on.
+/// A spill allocates a segment 8× the size of the last, and a 16-probe
+/// window fills by chance at about half load, so whether a table of
+/// some 40K keys allocates a 4 MiB segment was up to its hash values.
+/// With 32 probes (offsets up to 496, distinct in any segment of 64K
+/// slots) a large segment spills only when it is nearly full. Lookups
+/// and inserts use the same window per segment, so the spill predicate
+/// stays monotone.
+fn window(k: usize) -> usize {
+    if k < 2 {
+        PROBE_WINDOW
+    } else {
+        2 * PROBE_WINDOW
+    }
+}
 
 /// Contention/observability counters exposed through
 /// [`crate::explore::Stats`].
@@ -537,7 +605,7 @@ impl Table {
             let seg = self.seg(k);
             let mask = seg.len() - 1;
             let start = hash as usize;
-            'probe: for j in 0..PROBE_WINDOW {
+            'probe: for j in 0..window(k) {
                 let slot = &seg[(start + j * (j + 1) / 2) & mask];
                 probes += 1;
                 // Acquire: pairs with the Release CAS below — observing
@@ -602,7 +670,7 @@ impl Table {
             let seg = self.segs[k].get()?;
             let mask = seg.len() - 1;
             let start = hash as usize;
-            for j in 0..PROBE_WINDOW {
+            for j in 0..window(k) {
                 // Acquire: see `find_or_insert`.
                 let word = seg[(start + j * (j + 1) / 2) & mask].load(Ordering::Acquire);
                 if word == 0 {
@@ -634,36 +702,108 @@ impl Table {
 
 // --- hash-consing pool ---------------------------------------------------
 
-/// One lock-free hash-consing table: interning an equal value twice
-/// returns the same id; `get` recovers the canonical copy by
-/// reference (no `Arc` traffic, no lock).
-pub(crate) struct LockFreePool<T> {
+/// One lock-free hash-consing table of shared payloads: interning an
+/// equal value twice returns the same id, and `get` hands out the
+/// pool's own handle to it (no copy, no lock).
+///
+/// Every payload whose handle can reach a state is also indexed by its
+/// address, so a handle that is still the pool's own is found without
+/// hashing or comparing contents. That is sound because the pool holds
+/// a handle to each payload for its whole life: the address cannot be
+/// freed and reused while the pool lives, and a state holding the same
+/// handle copies it before any write (`Arc::make_mut` copies whatever
+/// is shared). So an address match means the very payload, hence equal
+/// contents. Only published payloads are indexed — never a state's own
+/// transient handle — and a racer that misses an address entry not yet
+/// published falls back to hashing, which finds the same id. Payloads
+/// no state ever holds (the task lists) stay out of the index.
+///
+/// A payload may be unsized: a state's task list is an `Arc<[u32]>`,
+/// whose ids sit in the handle's own allocation, so a query reads them
+/// one hop from the arena slot.
+pub(crate) struct LockFreePool<T: ?Sized> {
+    /// Content index: payload hash → id.
     table: Table,
-    arena: Arena<T>,
+    /// Address index: payload address → id.
+    by_addr: Table,
+    arena: Arena<Arc<T>>,
 }
 
-impl<T: Eq + Hash + Clone> LockFreePool<T> {
+/// A payload's address, as the address index keys it.
+fn addr_of<T: ?Sized>(handle: &Arc<T>) -> usize {
+    Arc::as_ptr(handle).cast::<()>() as usize
+}
+
+impl<T: Eq + Hash + ?Sized> LockFreePool<T> {
     fn new() -> Self {
-        LockFreePool { table: Table::new(), arena: Arena::new() }
+        LockFreePool { table: Table::new(), by_addr: Table::new(), arena: Arena::new() }
     }
 
-    fn intern(&self, value: &T) -> u32 {
-        let hash = fx_hash_of(value);
-        let (id, _fresh) = self.table.find_or_insert(
-            hash,
-            |id| self.arena.get(id) == value,
-            || self.arena.push(hash, value.clone()),
-        );
+    /// The id of `value` if it is one of this pool's payloads.
+    fn id_by_addr(&self, value: &Arc<T>) -> Option<u32> {
+        let addr = addr_of(value);
+        self.by_addr.lookup(fx_hash_of(&addr), |id| addr_of(self.arena.get(id)) == addr)
+    }
+
+    /// Intern a shared value: by address when it is one of the pool's
+    /// payloads, else by content. A fresh value's handle moves into
+    /// the pool, so the value itself is never copied.
+    fn intern(&self, value: &Arc<T>) -> u32 {
+        match self.id_by_addr(value) {
+            Some(id) => id,
+            None => self.intern_shared(&**value, || Arc::clone(value)),
+        }
+    }
+
+    /// Intern by content a payload whose handle reaches states: when
+    /// `value` is new, the payload `make` supplies joins the address
+    /// index too.
+    fn intern_shared<Q>(&self, value: &Q, make: impl FnOnce() -> Arc<T>) -> u32
+    where
+        T: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        let (id, fresh) = self.intern_by_content(value, make);
+        if fresh {
+            let addr = addr_of(self.arena.get(id));
+            self.by_addr.find_or_insert(
+                fx_hash_of(&addr),
+                |other| addr_of(self.arena.get(other)) == addr,
+                || id,
+            );
+        }
         id
     }
 
-    fn get(&self, id: u32) -> &T {
+    /// Intern by content; `make` supplies the payload to store when
+    /// the value is new. Returns the id and whether it is fresh.
+    fn intern_by_content<Q>(&self, value: &Q, make: impl FnOnce() -> Arc<T>) -> (u32, bool)
+    where
+        T: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        let hash = fx_hash_of(value);
+        self.table.find_or_insert(
+            hash,
+            |id| (**self.arena.get(id)).borrow() == value,
+            || {
+                let payload = make();
+                let bytes = std::mem::size_of_val::<T>(&payload);
+                self.arena.push(hash, payload, bytes)
+            },
+        )
+    }
+
+    fn get(&self, id: u32) -> &Arc<T> {
         self.arena.get(id)
     }
 
+    /// Counters of both indexes; `arena_bytes` counts each stored
+    /// payload's inline size, not its handle's.
     fn contention(&self) -> Contention {
         let mut c = self.table.contention();
-        c.arena_bytes = self.arena.len() * std::mem::size_of::<T>();
+        c.absorb(self.by_addr.contention());
+        c.arena_bytes = self.arena.bytes();
         c
     }
 }
@@ -739,7 +879,7 @@ impl<K: Eq + Hash + Clone> ClaimTable<K> {
                     first_sleep: sleep,
                     overflow: AtomicPtr::new(std::ptr::null_mut()),
                 };
-                self.arena.push(hash, entry)
+                self.arena.push(hash, entry, std::mem::size_of::<ClaimEntry<K>>())
             },
         );
         if fresh {
@@ -792,7 +932,7 @@ impl<K: Eq + Hash + Clone> ClaimTable<K> {
 
     pub fn contention(&self) -> Contention {
         let mut c = self.table.contention();
-        c.arena_bytes = self.arena.len() * std::mem::size_of::<ClaimEntry<K>>();
+        c.arena_bytes = self.arena.bytes();
         c
     }
 }
@@ -804,109 +944,43 @@ impl<K: Eq + Hash + Clone> ClaimTable<K> {
 unsafe impl<K: Send + Sync> Sync for ClaimTable<K> {}
 unsafe impl<K: Send> Send for ClaimTable<K> {}
 
-// --- orbit-key memo ------------------------------------------------------
+// --- orbit keys ----------------------------------------------------------
 
-/// A task record seen without its `id`: what an orbit key is a
-/// function of. Equality and hashing destructure [`Task`]
-/// exhaustively, so a field added to the record is a compile error
-/// here rather than a key lookup that silently ignores it.
-struct SansId<'a>(&'a Task);
-
-impl PartialEq for SansId<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        let Task {
-            id: _,
-            label,
-            status,
-            frames,
-            held,
-            pending_reacquire,
-            parent,
-            sym,
-            detached,
-            calls,
-            returns,
-            sent,
-            received,
-        } = self.0;
-        let o = other.0;
-        *label == o.label
-            && *status == o.status
-            && *frames == o.frames
-            && *held == o.held
-            && *pending_reacquire == o.pending_reacquire
-            && *parent == o.parent
-            && *sym == o.sym
-            && *detached == o.detached
-            && *calls == o.calls
-            && *returns == o.returns
-            && *sent == o.sent
-            && *received == o.received
-    }
-}
-
-impl Hash for SansId<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        let Task {
-            id: _,
-            label,
-            status,
-            frames,
-            held,
-            pending_reacquire,
-            parent,
-            sym,
-            detached,
-            calls,
-            returns,
-            sent,
-            received,
-        } = self.0;
-        label.hash(state);
-        status.hash(state);
-        frames.hash(state);
-        held.hash(state);
-        pending_reacquire.hash(state);
-        parent.hash(state);
-        sym.hash(state);
-        detached.hash(state);
-        calls.hash(state);
-        returns.hash(state);
-        sent.hash(state);
-        received.hash(state);
-    }
-}
-
-/// One exploration's orbit keys: each distinct task record (minus
-/// `id`) that symmetry canonicalization sorted, with its key rendered
-/// on first sight. The same lock-free table as the component pools,
-/// so the graph builder's workers share it; a lost insert race renders
-/// one key twice and publishes one.
-struct OrbitKeys {
+/// One exploration's orbit keys, by task-pool id: each sibling record
+/// symmetry canonicalization sorted, with its key rendered on first
+/// sight. A record the step did not write is still the task pool's
+/// payload, so its id — and with it its key — is found by address. The
+/// same lock-free table as the pools, so the graph builder's workers
+/// share it; a lost insert race renders one key twice and publishes
+/// one.
+struct KeyTable {
     table: Table,
-    arena: Arena<(Task, String)>,
+    arena: Arena<(u32, String)>,
 }
 
-impl OrbitKeys {
+impl KeyTable {
     fn new() -> Self {
-        OrbitKeys { table: Table::new(), arena: Arena::new() }
+        KeyTable { table: Table::new(), arena: Arena::new() }
     }
 
-    /// `task`'s orbit key: exactly [`render_orbit_key`]'s string,
-    /// rendered only the first time its record is met.
-    fn key(&self, task: &Task) -> &str {
-        let hash = fx_hash_of(&SansId(task));
-        let (id, _fresh) = self.table.find_or_insert(
+    /// The orbit key of task-pool record `id`, which is `task`: exactly
+    /// [`render_orbit_key`]'s string, rendered only the first time.
+    fn key(&self, id: u32, task: &Task) -> &str {
+        let hash = fx_hash_of(&id);
+        let (slot, _fresh) = self.table.find_or_insert(
             hash,
-            |id| SansId(&self.arena.get(id).0) == SansId(task),
-            || self.arena.push(hash, (task.clone(), render_orbit_key(task))),
+            |slot| self.arena.get(slot).0 == id,
+            || {
+                let key = (id, render_orbit_key(task));
+                self.arena.push(hash, key, std::mem::size_of::<(u32, String)>())
+            },
         );
-        &self.arena.get(id).1
+        &self.arena.get(slot).1
     }
 
     fn contention(&self) -> Contention {
         let mut c = self.table.contention();
-        c.arena_bytes = self.arena.len() * std::mem::size_of::<(Task, String)>();
+        c.arena_bytes = self.arena.bytes();
         c
     }
 }
@@ -955,18 +1029,18 @@ pub(crate) struct Interner {
     globals: LockFreePool<BTreeMap<String, Value>>,
     objects: LockFreePool<Vec<Object>>,
     task: LockFreePool<Task>,
-    task_lists: LockFreePool<Vec<u32>>,
+    task_lists: LockFreePool<[u32]>,
     locks: LockFreePool<BTreeMap<Cell, (TaskId, u32)>>,
     /// Shared by `inflight` and `dead_letters` (same element type,
     /// heavy overlap).
     msgs: LockFreePool<Vec<InFlight>>,
     output: LockFreePool<Output>,
-    /// Symmetry canonicalization's orbit keys, one per distinct
-    /// sibling record. Allocated by the first lookup, so an
+    /// Symmetry canonicalization's orbit keys, one per sibling record
+    /// of the task pool. Allocated by the first lookup, so an
     /// exploration that never sorts a sibling group (no `PARA
     /// SYMMETRIC` block, or the symmetry layer off) allocates nothing
-    /// for it.
-    orbit_keys: OnceLock<OrbitKeys>,
+    /// for it, and the task pool's slots stay one handle wide.
+    orbit_keys: OnceLock<KeyTable>,
 }
 
 impl Interner {
@@ -983,75 +1057,99 @@ impl Interner {
         }
     }
 
-    /// The orbit-key memo, allocated on first use.
-    fn orbit_keys(&self) -> &OrbitKeys {
-        self.orbit_keys.get_or_init(OrbitKeys::new)
+    /// The orbit-key table, allocated on first use.
+    fn orbit_keys(&self) -> &KeyTable {
+        self.orbit_keys.get_or_init(KeyTable::new)
     }
 
     /// [`canonicalize_symmetry`] with each sibling's orbit key looked
-    /// up in this exploration's memo instead of rendered: the same
+    /// up by its task-pool id instead of rendered: the same
     /// representative and permutation, since a stored key is the string
-    /// the free function would render. Every canonicalization an
-    /// exploration performs goes through here.
+    /// the free function would render. A sibling the step did not write
+    /// is found by address; one it wrote is interned here (it would be
+    /// at [`Interner::intern`] anyway) and its handle swapped for the
+    /// pool's equal one, so interning the state finds it by address
+    /// too. Every canonicalization an exploration performs goes through
+    /// here.
     pub fn canonicalize_symmetry(&self, state: &mut State) -> Option<Vec<usize>> {
-        canonicalize_by(state, |t| self.orbit_keys().key(t))
+        canonicalize_by(state, |task| {
+            let id = self.task.intern(task);
+            let pooled = self.task.get(id);
+            if !Arc::ptr_eq(task, pooled) {
+                *task = Arc::clone(pooled);
+            }
+            self.orbit_keys().key(id, task)
+        })
     }
 
     pub fn intern(&self, state: &State) -> StateSig {
         let task_ids: Vec<u32> = state.tasks.iter().map(|t| self.task.intern(t)).collect();
-        // Delivery is unordered (any in-flight message for a receiver
-        // may arrive next), so the pool is semantically a multiset:
-        // canonicalize its order so states differing only in append
-        // order merge. Sort by the Eq-class key (`to`, `msg`) — `seq`
-        // and `from` are correlation tags that `InFlight`'s Eq already
-        // ignores. The dead-letter list is NOT canonicalized: its
-        // order is genuinely state-visible.
-        let inflight = if state.inflight.len() > 1 {
-            let mut pool = state.inflight.clone();
-            pool.sort_by(|a, b| (a.to.0, &a.msg).cmp(&(b.to.0, &b.msg)));
-            self.msgs.intern(&pool)
-        } else {
-            self.msgs.intern(&state.inflight)
-        };
         StateSig {
             globals: self.globals.intern(&state.globals),
             objects: self.objects.intern(&state.objects),
-            tasks: self.task_lists.intern(&task_ids),
+            tasks: self.task_lists.intern_by_content(&task_ids[..], || Arc::from(&task_ids[..])).0,
             locks: self.locks.intern(&state.locks),
-            inflight,
-            dead: self.msgs.intern(&state.dead_letters),
+            inflight: self.intern_msgs(&state.inflight, true),
+            dead: self.intern_msgs(&state.dead_letters, false),
             output: self.output.intern(&state.output),
             next_seq: state.next_seq,
         }
     }
 
+    /// Intern a message list in the form the pool stores: canonical
+    /// tags (see [`canonicalize_tags`]) and, for the in-flight list,
+    /// canonical order. Delivery is unordered (any in-flight message
+    /// for a receiver may arrive next), so that list is semantically a
+    /// multiset, kept sorted by the Eq-class key (`to`, `msg`) so that
+    /// states differing only in send order merge; `seq` and `from` are
+    /// correlation tags that `InFlight`'s Eq already ignores. The
+    /// dead-letter list keeps its order: it is genuinely
+    /// state-visible. A live list is copied only when it is new to the
+    /// pool and its tags (or order) are not canonical yet.
+    fn intern_msgs(&self, msgs: &Arc<Vec<InFlight>>, multiset: bool) -> u32 {
+        if let Some(id) = self.msgs.id_by_addr(msgs) {
+            return id;
+        }
+        if multiset && !in_canonical_order(msgs) {
+            let mut sorted = (**msgs).clone();
+            sorted.sort_by(by_eq_class);
+            canonicalize_tags(&mut sorted);
+            return self.msgs.intern(&Arc::new(sorted));
+        }
+        self.msgs.intern_shared(&**msgs, || {
+            if tags_canonical(msgs) {
+                Arc::clone(msgs)
+            } else {
+                let mut copy = (**msgs).clone();
+                canonicalize_tags(&mut copy);
+                Arc::new(copy)
+            }
+        })
+    }
+
     /// Reconstruct a full state (with `steps == 0`; step counts are
-    /// path-dependent and the explorer freezes them before interning),
-    /// cloning each component straight out of the arena — no handle
-    /// traffic, no locks. Message correlation tags come back
-    /// canonicalized — see [`canonicalize_tags`]; under concurrent
+    /// path-dependent and the explorer freezes them before interning)
+    /// from the pools' handles: one vector of task handles is the only
+    /// allocation. Message lists come back with the canonical
+    /// correlation tags the pool stores them with; under concurrent
     /// interning this is what keeps materialization a pure function of
     /// the signature rather than of pool insertion order.
     pub fn materialize(&self, sig: StateSig) -> State {
-        let mut inflight = self.msgs.get(sig.inflight).clone();
-        canonicalize_tags(&mut inflight);
-        let mut dead_letters = self.msgs.get(sig.dead).clone();
-        canonicalize_tags(&mut dead_letters);
         State {
-            globals: self.globals.get(sig.globals).clone(),
-            objects: self.objects.get(sig.objects).clone(),
+            globals: Arc::clone(self.globals.get(sig.globals)),
+            objects: Arc::clone(self.objects.get(sig.objects)),
             tasks: self
                 .task_lists
                 .get(sig.tasks)
                 .iter()
-                .map(|&id| self.task.get(id).clone())
+                .map(|&id| Arc::clone(self.task.get(id)))
                 .collect(),
-            locks: self.locks.get(sig.locks).clone(),
-            inflight,
-            output: self.output.get(sig.output).clone(),
+            locks: Arc::clone(self.locks.get(sig.locks)),
+            inflight: Arc::clone(self.msgs.get(sig.inflight)),
+            output: Arc::clone(self.output.get(sig.output)),
             next_seq: sig.next_seq,
             steps: 0,
-            dead_letters,
+            dead_letters: Arc::clone(self.msgs.get(sig.dead)),
         }
     }
 
@@ -1080,7 +1178,7 @@ impl Interner {
 /// An interned state read in place ([`Interner::view`]): the
 /// [`StateView`] a graph query resolves labels, counters and globals
 /// against. Task records are exactly the ones [`Interner::materialize`]
-/// would clone, so every answer read here is the materialized state's.
+/// hands out, so every answer read here is the materialized state's.
 #[derive(Clone, Copy)]
 pub(crate) struct SigView<'a> {
     pools: &'a Interner,
@@ -1096,11 +1194,11 @@ impl SigView<'_> {
 
 impl StateView for SigView<'_> {
     fn task_at(&self, id: TaskId) -> Option<&Task> {
-        self.task_ids().get(id.0).map(|&t| self.pools.task.get(t))
+        self.task_ids().get(id.0).map(|&t| &**self.pools.task.get(t))
     }
 
     fn labelled(&self, label: &str) -> Option<&Task> {
-        self.task_ids().iter().map(|&t| self.pools.task.get(t)).find(|t| t.label == label)
+        self.task_ids().iter().map(|&t| &**self.pools.task.get(t)).find(|t| t.label == label)
     }
 
     fn global(&self, name: &str) -> Option<&Value> {
@@ -1119,7 +1217,7 @@ mod tests {
         let state = pools.materialize(sig);
         let view = pools.view(sig);
         for (i, task) in state.tasks.iter().enumerate() {
-            assert_eq!(view.task_at(TaskId(i)), Some(task), "task {i} by id");
+            assert_eq!(view.task_at(TaskId(i)), Some(&**task), "task {i} by id");
             assert_eq!(
                 view.labelled(&task.label),
                 state.task_by_label(&task.label),
@@ -1128,7 +1226,7 @@ mod tests {
         }
         assert_eq!(view.task_at(TaskId(state.tasks.len())), None, "no task past the end");
         assert_eq!(view.labelled("no such task"), None);
-        for (name, value) in &state.globals {
+        for (name, value) in state.globals.iter() {
             assert_eq!(view.global(name), Some(value), "global {name}");
         }
         assert_eq!(view.global("no such global"), None);
@@ -1162,6 +1260,38 @@ mod tests {
         for sig in [sig0, sig1, sig2] {
             assert_view_agrees(&pools, sig);
         }
+    }
+
+    /// Materialized states share the pools' payloads, and a write
+    /// copies before it changes anything: the step copies the task and
+    /// the globals it writes, the other records stay shared, and the
+    /// pools — so every later materialization — stay as interned.
+    #[test]
+    fn writes_copy_instead_of_changing_the_pools() {
+        let interp =
+            Interp::from_source("x = 1\nPARA\n    x = x + 1\n    x = x + 2\nENDPARA\nPRINT x\n")
+                .unwrap();
+        let pools = Interner::new();
+        let mut s = interp.initial_state();
+        while s.tasks.len() < 3 {
+            interp.apply(&mut s, &Choice::Step(TaskId(0))).unwrap();
+        }
+        s.steps = 0;
+        let sig = pools.intern(&s);
+        let (a, b) = (pools.materialize(sig), pools.materialize(sig));
+        assert!(Arc::ptr_eq(&a.globals, &b.globals), "materialize hands out the pool's handles");
+        assert!(a.tasks.iter().zip(&b.tasks).all(|(x, y)| Arc::ptr_eq(x, y)));
+        assert_eq!(pools.intern(&a), sig, "an untouched state interns to its signature");
+
+        let mut c = pools.materialize(sig);
+        interp.apply(&mut c, &Choice::Step(TaskId(1))).unwrap();
+        assert!(!Arc::ptr_eq(&c.tasks[1], &a.tasks[1]), "the stepped task was copied");
+        assert!(!Arc::ptr_eq(&c.globals, &a.globals), "the written globals were copied");
+        assert!(Arc::ptr_eq(&c.tasks[2], &a.tasks[2]), "an unwritten task stays shared");
+        assert_eq!(pools.materialize(sig), s, "the pools are unchanged");
+        c.steps = 0;
+        assert_ne!(pools.intern(&c), sig);
+        assert_eq!(pools.materialize(pools.intern(&c)), c);
     }
 
     #[test]
@@ -1252,8 +1382,10 @@ mod tests {
                             z ^= z >> 31;
                             order.swap(i, (z as usize) % (i + 1));
                         }
-                        let mut out: Vec<(u64, u32)> =
-                            order.into_iter().map(|k| (k, pool.intern(&payload(k)))).collect();
+                        let mut out: Vec<(u64, u32)> = order
+                            .into_iter()
+                            .map(|k| (k, pool.intern(&Arc::new(payload(k)))))
+                            .collect();
                         out.sort_unstable();
                         out
                     })
@@ -1269,20 +1401,19 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len() as u64, KEYS, "distinct keys got distinct ids");
         for &(k, id) in &maps[0] {
-            assert_eq!(pool.get(id), &payload(k), "id→payload round-trip is stable");
+            assert_eq!(**pool.get(id), payload(k), "id→payload round-trip is stable");
         }
         let c = pool.contention();
         assert!(c.arena_bytes > 0, "arena accounting is live");
         assert!(c.probe_len_max >= 1, "probe accounting is live");
     }
 
-    /// Regression pin: `InFlight` correlation-tag canonicalization
-    /// survives the lock-free rewrite. `InFlight`'s Eq/Hash ignore
-    /// `seq`/`from`, so the pool keeps whichever Eq-equal copy was
-    /// interned first — materialization must rewrite the tags into a
-    /// pure function of the signature (seq := position, from := task
-    /// 0) or graph builds stop being byte-identical across worker
-    /// counts (the PR 5 bug).
+    /// Regression pin: `InFlight` correlation tags come back canonical.
+    /// `InFlight`'s Eq/Hash ignore `seq`/`from`, so the pool keeps
+    /// whichever Eq-equal copy was interned first — it must store the
+    /// tags as a pure function of the list (seq := position, from :=
+    /// task 0), or materialized states and graph builds stop being
+    /// byte-identical across worker counts.
     #[test]
     fn materialized_inflight_tags_are_canonical() {
         let interp = Interp::from_source(crate::figures::FIG5_MESSAGE_PASSING).unwrap();
@@ -1307,13 +1438,14 @@ mod tests {
         s.steps = 0;
         let sig = pools.intern(&s);
         let mut scrambled = s.clone();
-        scrambled.inflight[0].seq = 991;
-        scrambled.inflight[0].from = TaskId(7);
-        scrambled.inflight[1].seq = 990;
-        scrambled.inflight[1].from = TaskId(9);
+        let inflight = Arc::make_mut(&mut scrambled.inflight);
+        inflight[0].seq = 991;
+        inflight[0].from = TaskId(7);
+        inflight[1].seq = 990;
+        inflight[1].from = TaskId(9);
         assert_eq!(pools.intern(&scrambled), sig, "tags are outside the Eq-class");
-        // …and materialization must return canonical tags regardless
-        // of which copy won the pool slot.
+        // …and materialization must return canonical tags whichever
+        // copy won the pool slot.
         let back = pools.materialize(sig);
         for (i, m) in back.inflight.iter().enumerate() {
             assert_eq!(m.seq, i as u64, "seq is the canonical position");
@@ -1340,7 +1472,8 @@ mod tests {
             assert_eq!(memo, canonicalize_symmetry(&mut rendered), "{what}: permutation");
             assert_eq!(memoized, rendered, "{what}: representative");
             for t in state.tasks.iter().filter(|t| t.sym.is_some()) {
-                assert_eq!(pools.orbit_keys().key(t), render_orbit_key(t), "{what}: key");
+                let id = pools.task.intern(t);
+                assert_eq!(pools.orbit_keys().key(id, t), render_orbit_key(t), "{what}: key");
             }
             memo.is_some()
         }

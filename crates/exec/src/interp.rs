@@ -15,6 +15,7 @@ use concur_pseudocode::analysis::FootRef;
 use concur_pseudocode::ast::{BinOp, Expr, ExprKind, LValue, UnOp};
 use concur_pseudocode::Span;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One enabled transition.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -95,15 +96,15 @@ impl Interp {
     pub fn initial_state(&self) -> State {
         let main = self.compiled.main;
         let mut state = State {
-            globals: BTreeMap::new(),
-            objects: Vec::new(),
+            globals: Arc::default(),
+            objects: Arc::default(),
             tasks: Vec::new(),
-            locks: BTreeMap::new(),
-            inflight: Vec::new(),
-            output: Output::default(),
+            locks: Arc::default(),
+            inflight: Arc::default(),
+            output: Arc::default(),
             next_seq: 0,
             steps: 0,
-            dead_letters: Vec::new(),
+            dead_letters: Arc::default(),
         };
         let frame = Frame {
             func: main,
@@ -115,8 +116,7 @@ impl Interp {
             main_scope: true,
             receive_saved: None,
         };
-        state.tasks.push(Task {
-            id: TaskId(0),
+        state.tasks.push(Arc::new(Task {
             label: "main".into(),
             status: TaskStatus::Runnable,
             frames: vec![frame],
@@ -129,50 +129,52 @@ impl Interp {
             returns: BTreeMap::new(),
             sent: BTreeMap::new(),
             received: BTreeMap::new(),
-        });
+        }));
         self.skid(&mut state, TaskId(0));
         self.settle(&mut state);
         state
     }
 
     /// Every enabled transition of `state`, in deterministic order.
+    /// Each task's choices are contiguous, in ascending task order.
     pub fn choices(&self, state: &State) -> Vec<Choice> {
         let mut out = Vec::new();
-        for task in &state.tasks {
+        for (i, task) in state.tasks.iter().enumerate() {
+            let tid = TaskId(i);
             match &task.status {
                 TaskStatus::Runnable => {
-                    if let Some(Instr::Receive { .. }) = self.current_instr(state, task.id) {
+                    if let Some(Instr::Receive { .. }) = self.current_instr(state, tid) {
                         if let Some(obj) = task.top_frame().and_then(|f| f.self_obj) {
                             for idx in state.inflight_for_distinct(obj) {
-                                out.push(Choice::Receive { task: task.id, inflight_index: idx });
+                                out.push(Choice::Receive { task: tid, inflight_index: idx });
                             }
                         }
                     } else {
-                        out.push(Choice::Step(task.id));
+                        out.push(Choice::Step(tid));
                     }
                 }
                 TaskStatus::Blocked(BlockReason::Locks(cells)) => {
-                    if state.can_acquire(task.id, cells) {
-                        out.push(Choice::Step(task.id));
+                    if state.can_acquire(tid, cells) {
+                        out.push(Choice::Step(tid));
                     }
                 }
                 TaskStatus::Blocked(BlockReason::Reacquire) => {
                     let cells =
                         task.pending_reacquire.as_ref().map(|h| h.cells.as_slice()).unwrap_or(&[]);
-                    if state.can_acquire(task.id, cells) {
-                        out.push(Choice::Step(task.id));
+                    if state.can_acquire(tid, cells) {
+                        out.push(Choice::Step(tid));
                     }
                 }
                 TaskStatus::Blocked(BlockReason::Receive) => {
                     if let Some(obj) = task.top_frame().and_then(|f| f.self_obj) {
                         for idx in state.inflight_for_distinct(obj) {
-                            out.push(Choice::Receive { task: task.id, inflight_index: idx });
+                            out.push(Choice::Receive { task: tid, inflight_index: idx });
                         }
                     }
                 }
                 TaskStatus::Blocked(BlockReason::AwaitCond) => {
-                    if self.await_cond_holds(state, task.id) {
-                        out.push(Choice::Step(task.id));
+                    if self.await_cond_holds(state, tid) {
+                        out.push(Choice::Step(tid));
                     }
                 }
                 TaskStatus::Blocked(BlockReason::Waiting)
@@ -331,10 +333,11 @@ impl Interp {
             }
             Instr::Print { value, newline, span: _ } => {
                 let v = self.eval(state, tid, &value)?;
+                let output = Arc::make_mut(&mut state.output);
                 if newline {
-                    state.output.println(&v);
+                    output.println(&v);
                 } else {
-                    state.output.print(&v);
+                    output.print(&v);
                 }
                 events.push(Event::Printed { task: tid, text: v.to_string() });
                 self.advance(state, tid);
@@ -406,8 +409,7 @@ impl Interp {
             }
             Instr::Notify { span: _ } => {
                 let mut woken = 0;
-                let ids: Vec<TaskId> = state.tasks.iter().map(|t| t.id).collect();
-                for other in ids {
+                for other in (0..state.tasks.len()).map(TaskId) {
                     if state.task(other).status == TaskStatus::Blocked(BlockReason::Waiting) {
                         state.task_mut(other).status = TaskStatus::Blocked(BlockReason::Reacquire);
                         events.push(Event::Woken { task: other });
@@ -486,7 +488,7 @@ impl Interp {
                 Span::SYNTH,
             ));
         };
-        let inflight = state.inflight.remove(idx);
+        let inflight = Arc::make_mut(&mut state.inflight).remove(idx);
         let task = state.task_mut(tid);
         *task.received.entry(inflight.msg.name.clone()).or_insert(0) += 1;
         task.status = TaskStatus::Runnable;
@@ -533,7 +535,7 @@ impl Interp {
                     msg: inflight.msg.clone(),
                     seq: inflight.seq,
                 });
-                state.dead_letters.push(inflight);
+                Arc::make_mut(&mut state.dead_letters).push(inflight);
                 // Stay at the Receive instruction for the next message.
             }
         }
@@ -680,7 +682,8 @@ impl Interp {
         let mut fields = BTreeMap::new();
         let field_inits = class.fields.clone();
         let obj = ObjId(state.objects.len());
-        state.objects.push(Object { class: class_name.to_string(), fields: BTreeMap::new() });
+        Arc::make_mut(&mut state.objects)
+            .push(Object { class: class_name.to_string(), fields: BTreeMap::new() });
         for (name, init) in &field_inits {
             let v = self.eval_in_scope(state, tid, init, EvalScope::GlobalsOnly)?;
             fields.insert(name.clone(), v);
@@ -816,8 +819,7 @@ impl Interp {
         sym: Option<u32>,
     ) -> TaskId {
         let id = TaskId(state.tasks.len());
-        state.tasks.push(Task {
-            id,
+        state.tasks.push(Arc::new(Task {
             label,
             status: TaskStatus::Runnable,
             frames: vec![frame],
@@ -830,7 +832,7 @@ impl Interp {
             returns: BTreeMap::new(),
             sent: BTreeMap::new(),
             received: BTreeMap::new(),
-        });
+        }));
         self.skid(state, id);
         id
     }
@@ -1097,7 +1099,7 @@ impl Interp {
             LValue::Name(name) => {
                 let frame = state.task(tid).top_frame().expect("frame exists");
                 if frame.main_scope {
-                    state.globals.insert(name.clone(), value);
+                    Arc::make_mut(&mut state.globals).insert(name.clone(), value);
                     return Ok(());
                 }
                 if frame.locals.contains_key(name) {
@@ -1117,7 +1119,7 @@ impl Interp {
                     }
                 }
                 if state.globals.contains_key(name) {
-                    state.globals.insert(name.clone(), value);
+                    Arc::make_mut(&mut state.globals).insert(name.clone(), value);
                     return Ok(());
                 }
                 // New local.
@@ -1408,10 +1410,9 @@ pub mod tests_support {
     /// (for event-pattern tests).
     pub fn empty_state_with_task(label: &str) -> State {
         State {
-            globals: BTreeMap::new(),
-            objects: vec![],
-            tasks: vec![Task {
-                id: TaskId(0),
+            globals: Arc::default(),
+            objects: Arc::default(),
+            tasks: vec![Arc::new(Task {
                 label: label.to_string(),
                 status: TaskStatus::Done,
                 frames: vec![],
@@ -1424,13 +1425,13 @@ pub mod tests_support {
                 returns: BTreeMap::new(),
                 sent: BTreeMap::new(),
                 received: BTreeMap::new(),
-            }],
-            locks: BTreeMap::new(),
-            inflight: vec![],
-            output: Output::default(),
+            })],
+            locks: Arc::default(),
+            inflight: Arc::default(),
+            output: Arc::default(),
             next_seq: 0,
             steps: 0,
-            dead_letters: vec![],
+            dead_letters: Arc::default(),
         }
     }
 }

@@ -5,10 +5,27 @@
 //! model checker snapshot at every choice point and deduplicate
 //! revisited states. All maps are `BTreeMap`s so hashing is
 //! deterministic.
+//!
+//! A state is copy-on-write. Each component (globals, heap, lock
+//! table, in-flight and dead-letter lists, output) sits behind an
+//! [`Arc`], and each task record behind its own, so cloning a state
+//! copies one vector of task handles and bumps reference counts. A
+//! write goes through [`Arc::make_mut`] ([`State::task_mut`],
+//! [`State::object_mut`], [`State::acquire`], [`State::add_inflight`]
+//! and the interpreter's direct writes), which copies a component
+//! only while another state or the interner's pools still share it.
+//! So a transition copies exactly the task and the components it
+//! writes, and everything else stays shared with its predecessor —
+//! which is also what lets the interner find an untouched component
+//! by address instead of re-hashing it.
+//!
+//! A task record does not store its own id: the id of a task is its
+//! index in [`State::tasks`].
 
 use crate::program::{CodeId, FuncId};
 use crate::value::{MessageVal, ObjId, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Index into [`State::tasks`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -102,10 +119,9 @@ pub struct HeldSet {
     pub frame_depth: usize,
 }
 
-/// One concurrent task.
+/// One concurrent task. Its id is its index in [`State::tasks`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Task {
-    pub id: TaskId,
     /// Display label: `main`, the `PARA` statement text
     /// (`redCarA.run()`), or `obj0.receive` for receiver tasks.
     pub label: String,
@@ -166,7 +182,8 @@ pub struct Object {
 /// model checker treat logically identical states (same pending
 /// messages, different send history) as distinct. The pool is kept
 /// sorted by `(to, msg)` (see [`State::add_inflight`]) so the `Vec`
-/// is a canonical multiset representation.
+/// is a canonical multiset representation, and the interner can store
+/// it as it is.
 #[derive(Debug, Clone)]
 pub struct InFlight {
     pub to: ObjId,
@@ -225,24 +242,27 @@ impl Output {
     }
 }
 
-/// The complete interpreter state.
+/// The complete interpreter state. Every component is shared
+/// copy-on-write (see the module docs): read through the handles,
+/// write through the `_mut` accessors or [`Arc::make_mut`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct State {
-    pub globals: BTreeMap<String, Value>,
-    pub objects: Vec<Object>,
-    pub tasks: Vec<Task>,
+    pub globals: Arc<BTreeMap<String, Value>>,
+    pub objects: Arc<Vec<Object>>,
+    /// Task records, indexed by [`TaskId`].
+    pub tasks: Vec<Arc<Task>>,
     /// Cell → owning task. A task may lock the same cell from several
     /// `EXC_ACC` entries (dynamic nesting); the count tracks re-entry.
-    pub locks: BTreeMap<Cell, (TaskId, u32)>,
-    pub inflight: Vec<InFlight>,
-    pub output: Output,
+    pub locks: Arc<BTreeMap<Cell, (TaskId, u32)>>,
+    pub inflight: Arc<Vec<InFlight>>,
+    pub output: Arc<Output>,
     /// Monotone counter for message sequence numbers.
     pub next_seq: u64,
     /// Total atomic steps taken (for limits).
     pub steps: u64,
     /// Dead-lettered messages (delivered to a receiver with no
     /// matching arm).
-    pub dead_letters: Vec<InFlight>,
+    pub dead_letters: Arc<Vec<InFlight>>,
 }
 
 impl State {
@@ -250,21 +270,24 @@ impl State {
         &self.tasks[id.0]
     }
 
+    /// The task's record for writing: copied first while another
+    /// state or the interner still shares it.
     pub fn task_mut(&mut self, id: TaskId) -> &mut Task {
-        &mut self.tasks[id.0]
+        Arc::make_mut(&mut self.tasks[id.0])
     }
 
     pub fn object(&self, id: ObjId) -> &Object {
         &self.objects[id.0]
     }
 
+    /// The object for writing: the heap is copied first while shared.
     pub fn object_mut(&mut self, id: ObjId) -> &mut Object {
-        &mut self.objects[id.0]
+        &mut Arc::make_mut(&mut self.objects)[id.0]
     }
 
     /// Find a task by its display label.
     pub fn task_by_label(&self, label: &str) -> Option<&Task> {
-        self.tasks.iter().find(|t| t.label == label)
+        self.tasks.iter().find(|t| t.label == label).map(|t| &**t)
     }
 
     /// Whether every cell in `cells` is free or already owned by
@@ -279,8 +302,9 @@ impl State {
     /// Acquire all `cells` for `task` (caller must have checked
     /// [`State::can_acquire`]).
     pub fn acquire(&mut self, task: TaskId, cells: &[Cell]) {
+        let locks = Arc::make_mut(&mut self.locks);
         for cell in cells {
-            let entry = self.locks.entry(cell.clone()).or_insert((task, 0));
+            let entry = locks.entry(cell.clone()).or_insert((task, 0));
             debug_assert_eq!(entry.0, task);
             entry.1 += 1;
         }
@@ -288,27 +312,28 @@ impl State {
 
     /// Release one hold on each of `cells`.
     pub fn release(&mut self, task: TaskId, cells: &[Cell]) {
+        let locks = Arc::make_mut(&mut self.locks);
         for cell in cells {
-            let Some(entry) = self.locks.get_mut(cell) else {
+            let Some(entry) = locks.get_mut(cell) else {
                 debug_assert!(false, "releasing unheld cell {cell}");
                 continue;
             };
             debug_assert_eq!(entry.0, task);
             entry.1 -= 1;
             if entry.1 == 0 {
-                self.locks.remove(cell);
+                locks.remove(cell);
             }
         }
     }
 
     /// Insert a message into the in-flight pool at its canonical
     /// (sorted) position, so pools holding the same multiset compare
-    /// and hash equal regardless of send order.
+    /// and hash equal regardless of send order. The order is
+    /// `(to, msg)`, and `MessageVal`'s `Ord` is `(name, args)`: the
+    /// order the interner checks for.
     pub fn add_inflight(&mut self, message: InFlight) {
-        let key = |m: &InFlight| (m.to, m.msg.name.clone(), m.msg.args.clone());
-        let insert_key = key(&message);
-        let pos = self.inflight.partition_point(|m| key(m) <= insert_key);
-        self.inflight.insert(pos, message);
+        let pos = self.inflight.partition_point(|m| (m.to, &m.msg) <= (message.to, &message.msg));
+        Arc::make_mut(&mut self.inflight).insert(pos, message);
     }
 
     /// Indices of in-flight messages addressed to `obj`, deduplicated
@@ -383,15 +408,15 @@ mod tests {
     #[test]
     fn lock_reentry_counts() {
         let mut state = State {
-            globals: BTreeMap::new(),
-            objects: vec![],
+            globals: Arc::default(),
+            objects: Arc::default(),
             tasks: vec![],
-            locks: BTreeMap::new(),
-            inflight: vec![],
-            output: Output::default(),
+            locks: Arc::default(),
+            inflight: Arc::default(),
+            output: Arc::default(),
             next_seq: 0,
             steps: 0,
-            dead_letters: vec![],
+            dead_letters: Arc::default(),
         };
         let t = TaskId(0);
         let cells = vec![Cell::Global("x".into())];

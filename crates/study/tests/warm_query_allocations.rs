@@ -98,6 +98,9 @@ fn warm_bank_questions_read_the_graph_in_place() {
             (questions[qi].id, ALLOCATIONS.load(Ordering::Relaxed) - before)
         })
         .collect();
+    for (id, n) in &counts {
+        println!("{id}: {n} allocations");
+    }
     let warm = cache.stats();
     assert_eq!(warm.builds, cold.builds, "the warm pass builds nothing");
     assert_eq!(warm.hits, cold.hits + questions.len(), "the warm pass is all hits");
