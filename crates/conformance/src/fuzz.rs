@@ -41,7 +41,8 @@ use concur_decide::{shrink, TraceArtifact};
 use concur_exec::{EventKindPattern, EventPattern, Interp, Session, TerminalSet};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Knobs for one fuzzing campaign. `FUZZ_SEED` and `FUZZ_ITERS`
 /// override the base seed and random-phase iteration count from the
@@ -219,11 +220,26 @@ pub(crate) fn artifact_dir() -> PathBuf {
 /// `concur_decide::artifact`). IO failures are swallowed — the
 /// decision vector is also in the error itself.
 pub(crate) fn write_artifact(file_stem: &str, artifact: &TraceArtifact) -> Option<PathBuf> {
-    let dir = artifact_dir();
-    std::fs::create_dir_all(&dir).ok()?;
+    write_artifact_in(&artifact_dir(), file_stem, artifact)
+}
+
+/// [`write_artifact`] into `dir`. The artifact is replaced whole: its
+/// text goes to a temporary file no other writer names, in the same
+/// directory, which is then renamed over it. A reader therefore sees
+/// the old artifact or the new one, never a half-written file.
+fn write_artifact_in(dir: &Path, file_stem: &str, artifact: &TraceArtifact) -> Option<PathBuf> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+    std::fs::create_dir_all(dir).ok()?;
     let path = dir.join(format!("{file_stem}.schedule.txt"));
-    std::fs::write(&path, artifact.render()).ok()?;
-    Some(path)
+    let n = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".{file_stem}.{}.{n}.tmp", std::process::id()));
+    match std::fs::write(&tmp, artifact.render()).and_then(|()| std::fs::rename(&tmp, &path)) {
+        Ok(()) => Some(path),
+        Err(_) => {
+            let _ = std::fs::remove_file(&tmp);
+            None
+        }
+    }
 }
 
 /// Dump a shrunk failing fuzzer schedule as a replayable artifact.
@@ -438,6 +454,43 @@ mod tests {
         let art = TraceArtifact::from_picks("p", "threads", "boom", &[1, 0, 2]);
         let parsed = TraceArtifact::parse(&art.render()).expect("round-trips");
         assert_eq!(parsed.decisions, vec![1, 0, 2]);
+    }
+
+    /// Rewriting an artifact never exposes a partial file: every read
+    /// of it parses while two writers keep rewriting it with texts of
+    /// varying length. The writers start before the first read and stop
+    /// only after the last.
+    #[test]
+    fn artifacts_rewritten_under_a_reader_always_parse() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        let dir =
+            std::env::temp_dir().join(format!("concur-artifact-rewrite-{}", std::process::id()));
+        let first = TraceArtifact::from_picks("p", "threads", "boom", &[0]);
+        let path = write_artifact_in(&dir, "rewrite", &first).expect("first write");
+        let (started, stop) = (Barrier::new(3), AtomicBool::new(false));
+        let partial = std::thread::scope(|scope| {
+            for w in 1..=2usize {
+                let (dir, started, stop) = (&dir, &started, &stop);
+                scope.spawn(move || {
+                    started.wait();
+                    for i in (0..).take_while(|_| !stop.load(Ordering::Relaxed)) {
+                        let picks = vec![w; 1 + (i * 7 + w) % 60];
+                        let art = TraceArtifact::from_picks("p", "threads", "boom", &picks);
+                        write_artifact_in(dir, "rewrite", &art).expect("rewrite");
+                    }
+                });
+            }
+            started.wait();
+            let partial = (0..500).find_map(|read| {
+                let body = std::fs::read_to_string(&path).unwrap_or_default();
+                TraceArtifact::parse(&body).is_err().then(|| format!("read {read}: {body:?}"))
+            });
+            stop.store(true, Ordering::Relaxed);
+            partial
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(partial, None, "a read saw a missing or partial artifact");
     }
 
     #[test]

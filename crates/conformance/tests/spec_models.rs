@@ -41,10 +41,18 @@ fn explorer_verdicts_match_the_pinned_expectations() {
 /// specs must be exhibited, shrunk, and dumped by each discipline.
 #[test]
 fn four_paradigm_battery_agrees_with_the_explorer() {
-    let dir = std::env::temp_dir().join("concur-spec-models-test");
-    // Integration tests run in their own process, so the env var
-    // cannot leak into other test binaries.
-    std::env::set_var("CONFORMANCE_ARTIFACT_DIR", &dir);
+    // Dump where the environment says, so a red battery leaves its
+    // counterexamples where CI uploads them; otherwise into a temp
+    // directory. Integration tests run in their own process, so the
+    // env var cannot leak into other test binaries.
+    let dir = match std::env::var_os("CONFORMANCE_ARTIFACT_DIR") {
+        Some(dir) => std::path::PathBuf::from(dir),
+        None => {
+            let dir = std::env::temp_dir().join("concur-spec-models-test");
+            std::env::set_var("CONFORMANCE_ARTIFACT_DIR", &dir);
+            dir
+        }
+    };
 
     let config = SpecFuzzConfig::default();
     for e in spec_bank() {

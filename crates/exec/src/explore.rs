@@ -26,10 +26,11 @@
 //!   commutation argument does not protect.
 
 use crate::event::{Event, EventPattern, StateCond};
-use crate::intern::{canonicalize_live, ClaimTable, FxHashSet, Interner, StateSig};
+use crate::intern::{canonicalize_live, FxHashMap, FxHashSet, Interner, StateSig};
 use crate::interp::{Choice, Interp, Outcome};
 use crate::state::{State, TaskId, TaskStatus};
 use crate::value::RuntimeError;
+use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -169,17 +170,19 @@ pub struct Stats {
     /// Whether this query's graph came from the server's disk store
     /// (a warm restart) instead of a fresh build; 1 or 0.
     pub disk_loads: usize,
-    /// Longest probe sequence any interner/claim-table operation
-    /// walked (a peak). A growing value indicates hash clustering or
-    /// a segment spilling.
+    /// Longest probe sequence any interner operation walked (a peak).
+    /// A growing value indicates hash clustering or a segment
+    /// spilling.
     pub probe_len_max: usize,
     /// Insert CAS attempts that lost to a concurrent insert in the
-    /// lock-free membership layer. Only a graph build on several
+    /// interner's lock-free tables. Only a graph build on several
     /// workers can race; zero for the DFS and one-worker builds.
     pub claim_cas_retries: usize,
-    /// Slot bytes reserved in the interner's payload arenas and the
-    /// claim table (summed; payload heap behind the slots — strings,
-    /// maps — is not counted).
+    /// Slot bytes reserved in the interner's payload arenas (summed;
+    /// payload heap behind the slots — strings, maps — is not
+    /// counted). These three counters read the interner alone, for the
+    /// DFS and a graph build alike: the visited set (`Visited`) is an
+    /// ordinary map outside them.
     pub arena_bytes: usize,
 }
 
@@ -391,63 +394,89 @@ pub(crate) enum Expansion {
 /// at the source state.
 pub(crate) type AmpleOut = (Vec<Succ>, Vec<State>, Vec<SleepSet>, usize);
 
-/// What the expansion planner needs from an exploration's storage:
-/// interning and visited-set membership. Both implementations intern
-/// through the lock-free [`Interner`] and differ only in where
-/// membership answers come from: [`SerialCtx`] asks the DFS's live
-/// [`ClaimTable`], the graph builder's `FrozenCtx` its snapshot of
-/// the previous level. Keeping ample-set selection behind this trait
-/// is what lets the DFS serve as the builder's reference: both run the
-/// identical commutation and proviso checks.
-pub(crate) trait ExploreCtx {
-    /// The exploration's interner: component pools and orbit keys.
-    fn pools(&self) -> &Interner;
-    /// Whether `(sig, progress)` is already a claimed/visited node.
-    fn is_visited(&self, key: (StateSig, usize)) -> bool;
+/// Ends a key's chain of admissions in [`Visited`].
+const LAST: u32 = u32::MAX;
+
+/// The visited set of both exploration drivers: `(state, progress)`
+/// nodes under the sleep-aware *superset rule*. An arrival is covered
+/// when an admission of its key recorded a sleep set that is a subset
+/// of the arrival's, since that visit explored at least everything
+/// this one would. An arrival nothing covers is admitted, so a key may
+/// be admitted several times, under incomparable sleep sets. With the
+/// sleep layer off every set is empty and the rule is plain
+/// membership.
+///
+/// Admissions are numbered from 0 in order, and the graph builder's
+/// node ids are its admission indexes (it always uses progress 0). The
+/// map sends a key to its first admission, with progress stored as a
+/// `u32`; each admission's sleep set and the next admission of the
+/// same key live in side vectors, so a bucket holds only a key and an
+/// index.
+#[derive(Default)]
+pub(crate) struct Visited {
+    first: FxHashMap<(StateSig, u32), u32>,
+    sleeps: Vec<SleepSet>,
+    /// The next admission of the same key, or [`LAST`].
+    next: Vec<u32>,
 }
 
-/// Storage for one DFS: the lock-free interner the graph builder
-/// shares across its workers, here owned by a single thread
-/// (uncontended atomics are effectively free, so a separate serial
-/// interner would buy nothing), plus the visited set.
-pub(crate) struct SerialCtx {
-    pub(crate) pools: Interner,
-    /// Visited nodes under the sleep-aware superset claim rule (see
-    /// [`ClaimTable::claim`]).
-    pub(crate) visited: ClaimTable<(StateSig, usize)>,
+impl Visited {
+    /// The map's form of a `(state, progress)` key.
+    fn key((sig, progress): (StateSig, usize)) -> (StateSig, u32) {
+        (sig, u32::try_from(progress).expect("query progress fits u32"))
+    }
+
+    /// The earliest admission of `key` whose sleep set is a subset of
+    /// `sleep`, if any.
+    pub(crate) fn covering(&self, key: (StateSig, usize), sleep: SleepSet) -> Option<u32> {
+        let mut at = *self.first.get(&Self::key(key))?;
+        while self.sleeps[at as usize] & !sleep != 0 {
+            at = self.next[at as usize];
+            if at == LAST {
+                return None;
+            }
+        }
+        Some(at)
+    }
+
+    /// Admit `key` under `sleep`, which no admission covers, and
+    /// return the admission's index.
+    pub(crate) fn admit(&mut self, key: (StateSig, usize), sleep: SleepSet) -> u32 {
+        let id = u32::try_from(self.sleeps.len()).expect("admission indexes fit u32");
+        self.sleeps.push(sleep);
+        self.next.push(LAST);
+        match self.first.entry(Self::key(key)) {
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+            }
+            Entry::Occupied(slot) => {
+                let mut at = *slot.get() as usize;
+                while self.next[at] != LAST {
+                    at = self.next[at] as usize;
+                }
+                self.next[at] = id;
+            }
+        }
+        id
+    }
+
+    /// Whether `key` was admitted under any sleep set: the cycle
+    /// proviso's notion of visited.
+    pub(crate) fn contains(&self, key: (StateSig, usize)) -> bool {
+        self.first.contains_key(&Self::key(key))
+    }
 }
 
-impl SerialCtx {
-    pub(crate) fn new() -> Self {
-        SerialCtx { pools: Interner::new(), visited: ClaimTable::new() }
-    }
-
-    /// Claim `(key, sleep)` under the superset rule: the arrival is
-    /// redundant iff some stored sleep set is a subset of the
-    /// incoming one — that prior visit explored at least everything
-    /// this one would. Otherwise the incoming set is appended
-    /// (append-only; a node can be explored under several
-    /// incomparable sleep sets) and the caller must expand the node.
-    pub(crate) fn claim(&mut self, key: (StateSig, usize), sleep: SleepSet) -> bool {
-        self.visited.claim(&key, sleep)
-    }
-
-    /// This exploration's membership-layer counters.
-    pub(crate) fn contention(&self) -> crate::intern::Contention {
-        let mut c = self.pools.contention();
-        c.absorb(self.visited.contention());
-        c
-    }
-}
-
-impl ExploreCtx for SerialCtx {
-    fn pools(&self) -> &Interner {
-        &self.pools
-    }
-
-    fn is_visited(&self, key: (StateSig, usize)) -> bool {
-        self.visited.contains(&key)
-    }
+/// What the expansion planner reads from an exploration's storage:
+/// the interner, and the visited set as of planning time. The DFS
+/// passes its live set, the graph builder the set as the previous
+/// level left it. Both drivers plan through the same code against the
+/// same membership rule, which is what lets the DFS serve as the
+/// builder's reference.
+#[derive(Clone, Copy)]
+pub(crate) struct ExploreCtx<'a> {
+    pub(crate) pools: &'a Interner,
+    pub(crate) visited: &'a Visited,
 }
 
 /// One DFS node. `progress` is the query-match index (always 0 for
@@ -572,13 +601,14 @@ impl<'i> Explorer<'i> {
         let begin = Instant::now();
         let mut terminals = BTreeSet::new();
         let mut stats = Stats::default();
-        let mut ctx = SerialCtx::new();
+        let pools = Interner::new();
         self.dfs(
             self.interp.initial_state(),
             None,
             self.reduction,
             Visibility::NONE,
-            &mut ctx,
+            &pools,
+            &mut Visited::default(),
             &mut stats,
             &mut |state, _events, choices, _progress| {
                 if choices.is_empty() {
@@ -592,7 +622,7 @@ impl<'i> Explorer<'i> {
                 Visit::Continue
             },
         )?;
-        stats.note_contention(ctx.contention());
+        stats.note_contention(pools.contention());
         stats.wall = begin.elapsed();
         Ok(TerminalSet { terminals, stats })
     }
@@ -649,14 +679,15 @@ impl<'i> Explorer<'i> {
         let begin = Instant::now();
         let mut found: Vec<State> = Vec::new();
         let mut stats = Stats::default();
-        let mut ctx = SerialCtx::new();
+        let pools = Interner::new();
         let funcs = &self.interp.compiled.funcs;
         self.dfs(
             self.interp.initial_state(),
             None,
             reduction,
             visibility,
-            &mut ctx,
+            &pools,
+            &mut Visited::default(),
             &mut stats,
             &mut |state, _events, _choices, _progress| {
                 if setup.iter().all(|c| c.holds(state, funcs)) {
@@ -674,7 +705,7 @@ impl<'i> Explorer<'i> {
         if found.len() >= cap {
             stats.truncated = true;
         }
-        stats.note_contention(ctx.contention());
+        stats.note_contention(pools.contention());
         stats.wall = begin.elapsed();
         Ok((found, stats))
     }
@@ -734,7 +765,8 @@ impl<'i> Explorer<'i> {
         // Share pools and the visited set across start states: a
         // (state, progress) node explored from one start need not be
         // re-explored from another.
-        let mut ctx = SerialCtx::new();
+        let pools = Interner::new();
+        let mut visited = Visited::default();
         for start in starts {
             let mut witness: Option<Vec<Event>> = None;
             self.dfs(
@@ -742,7 +774,8 @@ impl<'i> Explorer<'i> {
                 Some(query),
                 self.reduction,
                 Visibility { patterns: query, conds: &[] },
-                &mut ctx,
+                &pools,
+                &mut visited,
                 &mut stats,
                 &mut |_state, _events, _choices, progress| {
                     if progress == query.len() {
@@ -754,12 +787,12 @@ impl<'i> Explorer<'i> {
             )
             .map(|w| witness = w)?;
             if let Some(events) = witness {
-                stats.note_contention(ctx.contention());
+                stats.note_contention(pools.contention());
                 stats.wall = begin.elapsed();
                 return Ok((Answer::Yes { witness: events }, stats));
             }
         }
-        stats.note_contention(ctx.contention());
+        stats.note_contention(pools.contention());
         stats.truncated |= setup_stats.truncated;
         stats.wall = begin.elapsed();
         let exhaustive = !stats.truncated;
@@ -782,23 +815,26 @@ impl<'i> Explorer<'i> {
         query: Option<&[EventPattern]>,
         reduction: Reduction,
         visibility: Visibility<'_>,
-        ctx: &mut SerialCtx,
+        pools: &Interner,
+        visited: &mut Visited,
         stats: &mut Stats,
         visit: VisitFn<'_>,
     ) -> Result<Option<Vec<Event>>, RuntimeError> {
         let mut start = start;
-        self.normalize(reduction, &ctx.pools, &mut start, stats);
-        let start_sig = ctx.pools.intern(&start);
-        if !ctx.claim((start_sig, 0), 0) {
+        self.normalize(reduction, pools, &mut start, stats);
+        let start_sig = pools.intern(&start);
+        if visited.covering((start_sig, 0), 0).is_some() {
             stats.states_deduped += 1;
             return Ok(None);
         }
+        visited.admit((start_sig, 0), 0);
         stats.states_visited += 1;
         let choices = self.interp.choices(&start);
         match visit(&start, &[], &choices, 0) {
             Visit::Stop | Visit::Prune => return Ok(None),
             Visit::Continue => {}
         }
+        let ctx = ExploreCtx { pools, visited };
         let expansion =
             self.plan_expansion(&start, choices, 0, reduction, 0, visibility, ctx, stats)?;
         let root = Node { sig: start_sig, progress: 0, edge_events: Vec::new(), expansion };
@@ -855,21 +891,21 @@ impl<'i> Explorer<'i> {
                     continue;
                 }
                 StepAction::Apply { choice, parent_sig, progress, sleep } => {
-                    let mut next_state = ctx.pools.materialize(parent_sig);
+                    let mut next_state = pools.materialize(parent_sig);
                     let events = self.interp.apply(&mut next_state, &choice)?;
                     // Step counts are path-dependent; freezing them
                     // (inside normalize) keeps state dedup exact. The
                     // sleep mask was computed in the parent's task
                     // numbering and must follow the canonicalizing
                     // permutation into the child.
-                    let perm = self.normalize(reduction, &ctx.pools, &mut next_state, stats);
+                    let perm = self.normalize(reduction, pools, &mut next_state, stats);
                     let sleep = remap_sleep(sleep, perm.as_deref());
                     stats.transitions += 1;
-                    let sig = ctx.pools.intern(&next_state);
+                    let sig = pools.intern(&next_state);
                     (next_state, sig, events, progress, sleep)
                 }
                 StepAction::Cached { sig, events, progress, sleep } => {
-                    (ctx.pools.materialize(sig), sig, events, progress, sleep)
+                    (pools.materialize(sig), sig, events, progress, sleep)
                 }
             };
 
@@ -888,10 +924,12 @@ impl<'i> Explorer<'i> {
                 }
             }
 
-            if !ctx.claim((sig, progress), sleep) {
+            let key = (sig, progress);
+            if visited.covering(key, sleep).is_some() {
                 stats.states_deduped += 1;
                 continue;
             }
+            visited.admit(key, sleep);
             stats.states_visited += 1;
             if stats.states_visited >= self.limits.max_states {
                 stats.truncated = true;
@@ -909,7 +947,7 @@ impl<'i> Explorer<'i> {
                         reduction,
                         sleep,
                         visibility,
-                        ctx,
+                        ExploreCtx { pools, visited },
                         stats,
                     )?;
                     let node = Node { sig, progress, edge_events: events, expansion };
@@ -928,13 +966,12 @@ impl<'i> Explorer<'i> {
     /// only enabled choice — is extended through its corridor (see
     /// [`Explorer::compress_corridor`]) before becoming an edge.
     ///
-    /// Generic over [`ExploreCtx`]: the DFS and the graph builder
-    /// share this planner (and everything below it) verbatim, so a
-    /// node's ample set depends only on the state, the visibility, and
-    /// visited-set membership at planning time — never on which engine
-    /// asked.
+    /// The DFS and the graph builder share this planner (and
+    /// everything below it) verbatim, so a node's ample set depends
+    /// only on the state, the visibility, and visited-set membership
+    /// at planning time — never on which engine asked.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn plan_expansion<C: ExploreCtx>(
+    pub(crate) fn plan_expansion(
         &self,
         state: &State,
         choices: Vec<Choice>,
@@ -942,7 +979,7 @@ impl<'i> Explorer<'i> {
         reduction: Reduction,
         sleep: SleepSet,
         visibility: Visibility<'_>,
-        ctx: &mut C,
+        ctx: ExploreCtx<'_>,
         stats: &mut Stats,
     ) -> Result<Expansion, RuntimeError> {
         // A task may stay asleep only while its sole enabled choice is
@@ -979,14 +1016,14 @@ impl<'i> Explorer<'i> {
                 // defer, so take it eagerly — it may seed a corridor.
                 let mut next = state.clone();
                 let events = self.interp.apply(&mut next, &choices[0])?;
-                let perm = self.normalize(reduction, ctx.pools(), &mut next, stats);
+                let perm = self.normalize(reduction, ctx.pools, &mut next, stats);
                 stats.transitions += 1;
                 let child = remap_sleep(
                     self.filter_sleep_by_conflict(state, &choices, sleep, &choices[0]),
                     perm.as_deref(),
                 );
                 let sleeps = if child == 0 { Vec::new() } else { vec![child] };
-                Some((vec![(ctx.pools().intern(&next), events, vec![0])], vec![next], sleeps, 0))
+                Some((vec![(ctx.pools.intern(&next), events, vec![0])], vec![next], sleeps, 0))
             } else {
                 None
             };
@@ -1187,28 +1224,28 @@ impl<'i> Explorer<'i> {
     /// infinite-state programs; the end node just seeds the next
     /// corridor.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn compress_corridor<C: ExploreCtx>(
+    pub(crate) fn compress_corridor(
         &self,
         seed: Succ,
         seed_state: State,
         progress: usize,
         reduction: Reduction,
         visibility: Visibility<'_>,
-        ctx: &mut C,
+        ctx: ExploreCtx<'_>,
         stats: &mut Stats,
     ) -> Result<Succ, RuntimeError> {
         let (mut sig, mut events, mut picks) = seed;
         let mut cur = seed_state;
         let mut interior: FxHashSet<StateSig> = FxHashSet::default();
         for _ in 0..CORRIDOR_MAX {
-            if ctx.is_visited((sig, progress)) || !interior.insert(sig) {
+            if ctx.visited.contains((sig, progress)) || !interior.insert(sig) {
                 break;
             }
             // The walk threads the live successor state instead of
             // round-tripping `sig` through `materialize` each hop —
             // that round-trip dominated build wall time (corridors run
             // ~20 hops per surviving node). `canonicalize_live` makes
-            // `cur` byte-identical to `ctx.materialize(sig)`, so a
+            // `cur` byte-identical to `ctx.pools.materialize(sig)`, so a
             // path that re-enters this corridor mid-chain replays the
             // exact same states, events and picks.
             canonicalize_live(&mut cur);
@@ -1220,9 +1257,9 @@ impl<'i> Explorer<'i> {
                         // The predecessor state is dead once the hop
                         // commits, so apply in place — no clone.
                         let evs = self.interp.apply(&mut cur, &choices[0])?;
-                        self.normalize(reduction, ctx.pools(), &mut cur, stats);
+                        self.normalize(reduction, ctx.pools, &mut cur, stats);
                         stats.transitions += 1;
-                        Some((ctx.pools().intern(&cur), evs, vec![0], None))
+                        Some((ctx.pools.intern(&cur), evs, vec![0], None))
                     } else {
                         None
                     }
@@ -1283,7 +1320,7 @@ impl<'i> Explorer<'i> {
     /// states, pruned choices and transitions of the results they
     /// actually keep (a corridor probe may discard a branching set).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn try_ample<C: ExploreCtx>(
+    pub(crate) fn try_ample(
         &self,
         state: &State,
         choices: &[Choice],
@@ -1291,7 +1328,7 @@ impl<'i> Explorer<'i> {
         reduction: Reduction,
         sleep: SleepSet,
         visibility: Visibility<'_>,
-        ctx: &mut C,
+        ctx: ExploreCtx<'_>,
         stats: &mut Stats,
     ) -> Result<Option<AmpleOut>, RuntimeError> {
         // The candidates are the runs of one task's choices, in task
@@ -1358,8 +1395,8 @@ impl<'i> Explorer<'i> {
             for i in idxs {
                 let mut next = state.clone();
                 let events = self.interp.apply(&mut next, &choices[i])?;
-                let perm = self.normalize(reduction, ctx.pools(), &mut next, stats);
-                let sig = ctx.pools().intern(&next);
+                let perm = self.normalize(reduction, ctx.pools, &mut next, stats);
+                let sig = ctx.pools.intern(&next);
                 if sleep != 0 {
                     // Carry over each sleeper whose step commutes
                     // with the one taken. Ample expansion adds no new
@@ -1384,7 +1421,7 @@ impl<'i> Explorer<'i> {
             }
             // Invisible edges cannot advance query progress, so the
             // successors' node keys keep this node's progress.
-            if succs.iter().any(|(sig, _, _)| ctx.is_visited((*sig, progress))) {
+            if succs.iter().any(|(sig, _, _)| ctx.visited.contains((*sig, progress))) {
                 continue 'candidate;
             }
             return Ok(Some((succs, states, sleeps, 0)));
@@ -1423,6 +1460,55 @@ mod tests {
             set.stats.transitions + 1,
             "every edge is one claim attempt, plus the root"
         );
+    }
+
+    #[test]
+    fn visited_superset_rule() {
+        let mut table = Visited::default();
+        let key = (StateSig::PLACEHOLDER, 7);
+        // The DFS's claim: expand exactly when nothing covers.
+        let mut claim = |sleep: SleepSet| {
+            let fresh = table.covering(key, sleep).is_none();
+            if fresh {
+                table.admit(key, sleep);
+            }
+            fresh
+        };
+        // First claim under {tasks 0,1} asleep.
+        assert!(claim(0b11));
+        // Superset of a stored set: covered, no re-expansion.
+        assert!(!claim(0b111));
+        // Incomparable set: must re-expand (appends).
+        assert!(claim(0b100));
+        // Now covered by the appended {2}.
+        assert!(!claim(0b110));
+        // The empty set is covered by nothing stored ({0,1} ⊄ ∅, {2} ⊄ ∅)…
+        assert!(claim(0));
+        // …and once stored covers everything.
+        assert!(!claim(0b1000));
+    }
+
+    /// The graph builder's case: a key admitted under several
+    /// incomparable sleep sets dedups an arrival to the earliest
+    /// admission that covers it, which is the node id the level merge
+    /// records as the edge's target.
+    #[test]
+    fn visited_covering_returns_the_earliest_covering_admission() {
+        let mut visited = Visited::default();
+        let key = (StateSig::PLACEHOLDER, 0);
+        let other = (StateSig::PLACEHOLDER, 1);
+        assert!(!visited.contains(key));
+        assert_eq!(visited.admit(other, 0), 0);
+        assert_eq!(visited.admit(key, 0b011), 1);
+        assert_eq!(visited.admit(key, 0b100), 2);
+        assert!(visited.contains(key));
+        assert_eq!(visited.covering(key, 0b111), Some(1), "both cover: the earlier wins");
+        assert_eq!(visited.covering(key, 0b110), Some(2), "only {{2}} covers");
+        assert_eq!(visited.covering(key, 0b001), None, "neither covers");
+        assert_eq!(visited.admit(key, 0), 3);
+        assert_eq!(visited.covering(key, 0b001), Some(3));
+        assert_eq!(visited.covering(key, 0b111), Some(1), "still the earliest");
+        assert_eq!(visited.covering(other, 0b1), Some(0), "keys keep their own admissions");
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! reduction is allowed to be incomplete, never unsound.
 
 use crate::event::{EventKindPattern, EventPattern};
+use crate::explore::choice_task;
 use crate::interp::{Choice, Interp};
 use crate::program::{CalleeRef, CodeId, Compiled, Instr};
 use crate::state::{BlockReason, Cell, Frame, State, Task, TaskStatus};
@@ -980,11 +981,10 @@ impl Interp {
     /// `state`. Mirrors [`Interp::apply`]'s resolution logic without
     /// mutating anything.
     pub fn choice_footprint(&self, state: &State, choice: &Choice) -> Footprint {
-        let mut fp = Footprint::default();
-        let tid = match choice {
-            Choice::Receive { task, .. } | Choice::Step(task) => *task,
+        let mut fp = Footprint {
+            actor_label: Some(state.task(choice_task(choice)).label.clone()),
+            ..Footprint::default()
         };
-        fp.actor_label = Some(state.task(tid).label.clone());
         match choice {
             Choice::Receive { task, inflight_index } => {
                 self.receive_footprint(state, *task, *inflight_index, &mut fp);

@@ -22,11 +22,11 @@
 //! 1. Every node of the current level is expanded against a *frozen*
 //!    visited snapshot (the table as of the end of the previous
 //!    level). Expansion planning — including ample-set selection and
-//!    corridor compression, shared verbatim with the serial DFS via
-//!    `ExploreCtx` — therefore depends only on the state and the
-//!    snapshot, never on scheduling. Levels are fanned out across
-//!    worker threads by contiguous chunks; results are indexed, so
-//!    thread timing cannot reorder them.
+//!    corridor compression, shared verbatim with the serial DFS, which
+//!    keeps the same kind of `Visited` set — therefore depends only on
+//!    the state and the snapshot, never on scheduling. Levels are
+//!    fanned out across worker threads by contiguous chunks; results
+//!    are indexed, so thread timing cannot reorder them.
 //! 2. Successors are merged into the store sequentially, in (node id,
 //!    edge order) — a canonical order. New nodes take the next id.
 //!
@@ -66,8 +66,8 @@
 
 use crate::event::{Event, EventPattern, StateCond};
 use crate::explore::{
-    Answer, Expansion, ExploreCtx, Explorer, Limits, Reduction, Stats, Succ, Terminal,
-    TerminalKind, TerminalSet, Visibility,
+    choice_task, remap_sleep, Answer, Expansion, ExploreCtx, Explorer, Limits, Reduction, SleepSet,
+    Stats, Succ, Terminal, TerminalKind, TerminalSet, Visibility, Visited,
 };
 use crate::intern::{fx_hash_of, FxHashMap, FxHashSet, Interner, SigView, StateSig};
 use crate::interp::{Interp, Outcome};
@@ -148,27 +148,8 @@ struct LevelOut {
     terminal: Option<Terminal>,
     succs: Vec<Succ>,
     /// Per-successor sleep sets, parallel to `succs` (empty ⇔ all 0).
-    sleeps: Vec<u128>,
+    sleeps: Vec<SleepSet>,
     stats: Stats,
-}
-
-/// [`ExploreCtx`] over the store under construction: interning goes to
-/// the live lock-free pools, visited membership to the frozen snapshot
-/// of the previous level. Progress is ignored — graphs are built
-/// query-agnostically at progress 0.
-struct FrozenCtx<'a> {
-    interner: &'a Interner,
-    visited: &'a FxHashMap<StateSig, Vec<u32>>,
-}
-
-impl ExploreCtx for FrozenCtx<'_> {
-    fn pools(&self) -> &Interner {
-        self.interner
-    }
-
-    fn is_visited(&self, key: (StateSig, usize)) -> bool {
-        self.visited.contains_key(&key.0)
-    }
 }
 
 /// Identity card a graph carries for disk persistence: exactly the
@@ -242,16 +223,14 @@ impl StateGraph {
         let begin = Instant::now();
         let interner = Interner::new();
         let probe = Explorer::with_limits(interp, limits);
-        // Under sleep sets a signature can legitimately own several
-        // nodes (claimed with incomparable sleep sets); the map keeps
-        // them all, in id order, and dedup picks the first whose
-        // recorded sleep is a subset of the arrival's.
-        let mut visited: FxHashMap<StateSig, Vec<u32>> = FxHashMap::default();
+        // Graphs are built query-agnostically, so every key has
+        // progress 0. Under sleep sets a signature can own several
+        // nodes, admitted under incomparable sleep sets; an arrival
+        // dedups to the first that covers it. Sleep sets are
+        // build-only: reloads rebuild structure from picks and never
+        // re-run the planner.
+        let mut visited = Visited::default();
         let mut nodes: Vec<NodeRec> = Vec::new();
-        // Sleep set each node was admitted with (0 unless the sleep
-        // layer is on). Build-only: reloads rebuild structure from
-        // picks and never re-run the planner, so sleeps are not kept.
-        let mut sleeps: Vec<u128> = Vec::new();
         let mut edges = FlatEdges::default();
         let mut terminals = BTreeSet::new();
         let mut stats = Stats::default();
@@ -259,25 +238,25 @@ impl StateGraph {
         let mut root = interp.initial_state();
         probe.normalize(reduction, &interner, &mut root, &mut stats);
         let root_sig = interner.intern(&root);
-        visited.insert(root_sig, vec![0]);
+        visited.admit((root_sig, 0), 0);
         nodes.push(NodeRec { sig: root_sig, depth: 1, parent: 0, via: 0, terminal: None });
-        sleeps.push(0);
         stats.states_visited = 1;
-        let mut frontier: Vec<u32> = vec![0];
+        // Each frontier node with the sleep set it was admitted under.
+        let mut frontier: Vec<(u32, SleepSet)> = vec![(0, 0)];
 
         'levels: while !frontier.is_empty() {
-            let items: Vec<(StateSig, u32, u128)> = frontier
+            let items: Vec<(StateSig, u32, SleepSet)> = frontier
                 .iter()
-                .map(|&id| {
+                .map(|&(id, sleep)| {
                     let n = &nodes[id as usize];
-                    (n.sig, n.depth, sleeps[id as usize])
+                    (n.sig, n.depth, sleep)
                 })
                 .collect();
-            let outs =
-                expand_level(&probe, &interner, &visited, &items, reduction, visibility, workers);
+            let ctx = ExploreCtx { pools: &interner, visited: &visited };
+            let outs = expand_level(&probe, ctx, &items, reduction, visibility, workers);
 
-            let mut next_frontier: Vec<u32> = Vec::new();
-            for (&id, out) in frontier.iter().zip(outs) {
+            let mut next_frontier = Vec::new();
+            for (&(id, _), out) in frontier.iter().zip(outs) {
                 // Levels run in id order and each frontier is the id
                 // range the previous merge created, so nodes are merged
                 // in id order.
@@ -292,11 +271,7 @@ impl StateGraph {
                 for (i, (sig, events, picks)) in out.succs.into_iter().enumerate() {
                     let sleep = out.sleeps.get(i).copied().unwrap_or(0);
                     let via = edges.open_degree();
-                    let covered = visited
-                        .get(&sig)
-                        .and_then(|ids| ids.iter().find(|&&t| sleeps[t as usize] & !sleep == 0))
-                        .copied();
-                    let target = match covered {
+                    let target = match visited.covering((sig, 0), sleep) {
                         Some(t) => {
                             stats.states_deduped += 1;
                             t
@@ -310,13 +285,14 @@ impl StateGraph {
                                 stats.truncated = true;
                                 break 'levels;
                             }
-                            let t = nodes.len() as u32;
+                            // Nodes and admissions are made together,
+                            // so an admission index is a node id.
+                            let t = visited.admit((sig, 0), sleep);
+                            debug_assert_eq!(t as usize, nodes.len());
                             let depth = nodes[id as usize].depth + 1;
-                            visited.entry(sig).or_default().push(t);
                             nodes.push(NodeRec { sig, depth, parent: id, via, terminal: None });
-                            sleeps.push(sleep);
                             stats.states_visited += 1;
-                            next_frontier.push(t);
+                            next_frontier.push((t, sleep));
                             t
                         }
                     };
@@ -424,12 +400,6 @@ impl StateGraph {
     /// it — what event patterns and setup conditions are evaluated on.
     pub(crate) fn node_view(&self, id: u32) -> SigView<'_> {
         self.interner.view(self.nodes[id as usize].sig)
-    }
-
-    /// [`StateGraph::concretize_decisions`] for sibling modules: turn
-    /// quotient-graph picks into plainly replayable ones.
-    pub(crate) fn concretize(&self, interp: &Interp, decisions: Vec<usize>) -> Vec<usize> {
-        self.concretize_decisions(interp, decisions)
     }
 
     /// Frontier-only BFS collecting nodes where every `setup`
@@ -555,7 +525,11 @@ impl StateGraph {
     /// concrete state once, with the orbit keys the graph's interner
     /// already holds, and reads the stored pick's choice off that copy.
     /// Identity (and free) when the graph was built without symmetry.
-    fn concretize_decisions(&self, interp: &Interp, decisions: Vec<usize>) -> Vec<usize> {
+    pub(crate) fn concretize_decisions(
+        &self,
+        interp: &Interp,
+        decisions: Vec<usize>,
+    ) -> Vec<usize> {
         if !self.meta.reduction.symmetry {
             return decisions;
         }
@@ -568,10 +542,7 @@ impl StateGraph {
                 None => pick,
                 Some(perm) => {
                     let wanted = &interp.choices(&canon)[pick];
-                    let canon_task = match wanted {
-                        crate::interp::Choice::Step(t) => t.0,
-                        crate::interp::Choice::Receive { task, .. } => task.0,
-                    };
+                    let canon_task = choice_task(wanted).0;
                     let t = perm
                         .iter()
                         .position(|&n| n == canon_task)
@@ -1091,9 +1062,8 @@ fn level_chunk(width: usize, workers: usize) -> usize {
 /// returned in frontier order regardless of scheduling.
 fn expand_level(
     probe: &Explorer<'_>,
-    interner: &Interner,
-    visited: &FxHashMap<StateSig, Vec<u32>>,
-    items: &[(StateSig, u32, u128)],
+    ctx: ExploreCtx<'_>,
+    items: &[(StateSig, u32, SleepSet)],
     reduction: Reduction,
     visibility: Visibility<'_>,
     workers: usize,
@@ -1102,7 +1072,7 @@ fn expand_level(
         return items
             .iter()
             .map(|&(sig, depth, sleep)| {
-                expand_node(probe, interner, visited, sig, depth, sleep, reduction, visibility)
+                expand_node(probe, ctx, sig, depth, sleep, reduction, visibility)
             })
             .collect();
     }
@@ -1113,9 +1083,7 @@ fn expand_level(
                 scope.spawn(move || {
                     part.iter()
                         .map(|&(sig, depth, sleep)| {
-                            expand_node(
-                                probe, interner, visited, sig, depth, sleep, reduction, visibility,
-                            )
+                            expand_node(probe, ctx, sig, depth, sleep, reduction, visibility)
                         })
                         .collect::<Vec<_>>()
                 })
@@ -1132,19 +1100,17 @@ fn expand_level(
 /// Expand a single node: classify terminals, honor the depth bound,
 /// otherwise plan through the shared POR machinery and apply full
 /// expansions eagerly (recording the choice index of every hop).
-#[allow(clippy::too_many_arguments)]
 fn expand_node(
     probe: &Explorer<'_>,
-    interner: &Interner,
-    visited: &FxHashMap<StateSig, Vec<u32>>,
+    ctx: ExploreCtx<'_>,
     sig: StateSig,
     depth: u32,
-    sleep: u128,
+    sleep: SleepSet,
     reduction: Reduction,
     visibility: Visibility<'_>,
 ) -> Result<LevelOut, RuntimeError> {
     let mut stats = Stats::default();
-    let state = interner.materialize(sig);
+    let state = ctx.pools.materialize(sig);
     let choices = probe.interp.choices(&state);
     if choices.is_empty() {
         let outcome = match probe.interp.classify_stuck(&state) {
@@ -1164,9 +1130,8 @@ fn expand_node(
         stats.truncated = true;
         return Ok(LevelOut { terminal: None, succs: Vec::new(), sleeps: Vec::new(), stats });
     }
-    let mut ctx = FrozenCtx { interner, visited };
-    let expansion = probe
-        .plan_expansion(&state, choices, 0, reduction, sleep, visibility, &mut ctx, &mut stats)?;
+    let expansion =
+        probe.plan_expansion(&state, choices, 0, reduction, sleep, visibility, ctx, &mut stats)?;
     let (succs, sleeps) = match expansion {
         Expansion::Full { choices, sleeps, origin, .. } => {
             let mut out = Vec::with_capacity(choices.len());
@@ -1176,16 +1141,16 @@ fn expand_node(
                 let events = probe.interp.apply(&mut next, choice)?;
                 // Child sleep masks are in the parent's task numbering;
                 // follow the canonicalizing permutation into the child.
-                let perm = probe.normalize(reduction, interner, &mut next, &mut stats);
+                let perm = probe.normalize(reduction, ctx.pools, &mut next, &mut stats);
                 if let Some(z) = sleeps.get(i) {
-                    remapped.push(crate::explore::remap_sleep(*z, perm.as_deref()));
+                    remapped.push(remap_sleep(*z, perm.as_deref()));
                 }
                 stats.transitions += 1;
                 // Replay picks index the *unfiltered* choice list; when
                 // the sleep layer dropped choices, `origin` carries the
                 // original index of each survivor.
                 let pick = origin.as_ref().map_or(i, |o| o[i]);
-                out.push((interner.intern(&next), events, vec![pick]));
+                out.push((ctx.pools.intern(&next), events, vec![pick]));
             }
             (out, remapped)
         }

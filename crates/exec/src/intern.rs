@@ -22,8 +22,10 @@
 //! threads. (Earlier revisions kept a single-threaded `Rc`-backed
 //! interner and a separate 16-way Mutex-striped one; the lock-free
 //! table is uncontended-cheap enough to make the split pointless.)
+//! Neither driver's visited set lives here: both update it on one
+//! thread, so it is a plain map over signatures (`explore::Visited`).
 //!
-//! The membership layer is built from three pieces:
+//! The membership layer is built from two pieces:
 //!
 //! * [`Arena`] — a sharded, append-only payload store. Slots are
 //!   reserved with a relaxed `fetch_add` and **never move**: chunks
@@ -36,10 +38,6 @@
 //!   of a bounded quadratic probe sequence; growth is pre-sized
 //!   segment chaining (×8 per segment), never rehashing, so published
 //!   ids are never relocated.
-//! * [`ClaimTable`] — the DFS's visited set: the same table over
-//!   entries carrying a key and the sleep sets the node was claimed
-//!   under. For plain membership exactly one `claim` per key ever
-//!   sees `true`, from however many threads.
 //!
 //! The same table and arena also hold each exploration's orbit keys
 //! (`KeyTable`): symmetry canonicalization sorts sibling task records
@@ -58,7 +56,7 @@ use std::cmp::Ordering as CmpOrdering;
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// The rustc-style Fx hasher: multiplicative, not HashDoS-resistant —
@@ -609,9 +607,8 @@ impl Table {
                 let slot = &seg[(start + j * (j + 1) / 2) & mask];
                 probes += 1;
                 // Acquire: pairs with the Release CAS below — observing
-                // a published word makes the winner's arena write (and,
-                // for claim entries, the whole entry) visible to `eq`
-                // and to the caller's subsequent `get`.
+                // a published word makes the winner's arena write
+                // visible to `eq` and to the caller's subsequent `get`.
                 let mut word = slot.load(Ordering::Acquire);
                 loop {
                     if word == 0 {
@@ -808,142 +805,6 @@ impl<T: Eq + Hash + ?Sized> LockFreePool<T> {
     }
 }
 
-// --- claim table (visited set) ------------------------------------------
-
-/// Overflow node for claims made under additional, incomparable sleep
-/// sets. Push-front CoW list behind an `AtomicPtr`; freed by the
-/// owning entry's `Drop`.
-struct SleepNode {
-    sleep: u128,
-    next: *mut SleepNode,
-}
-
-struct ClaimEntry<K> {
-    key: K,
-    /// The first claim's sleep set — immutable, published with the
-    /// entry itself through the table-slot CAS. `0` (no sleeping
-    /// tasks) covers every later arrival, which is also the sleep-off
-    /// fast path: no overflow node is ever allocated.
-    first_sleep: u128,
-    /// Claims 2+ under incomparable sleep sets (rare).
-    overflow: AtomicPtr<SleepNode>,
-}
-
-impl<K> Drop for ClaimEntry<K> {
-    fn drop(&mut self) {
-        let mut p = *self.overflow.get_mut();
-        while !p.is_null() {
-            // SAFETY: nodes are uniquely owned by this list; Box'ed at
-            // push time, freed exactly once here.
-            let boxed = unsafe { Box::from_raw(p) };
-            p = boxed.next;
-        }
-    }
-}
-
-/// The DFS's visited set: a lock-free insert-if-absent set with the
-/// sleep-aware *superset claim rule*.
-///
-/// A stored claim covers a new arrival when some recorded sleep set
-/// is a subset of the incoming one — that prior visit explored at
-/// least everything this one would. Uncovered arrivals append their
-/// set and re-expand. With the sleep layer off every claim carries
-/// the empty set, the rule degenerates to plain first-claim-wins
-/// membership, and exactly one caller per key ever sees `true`.
-///
-/// Under sleep-mode races two arrivals with incomparable sets can
-/// both claim concurrently (the check-then-push is not atomic) — one
-/// more re-expansion than a serial order would do: counts are
-/// nondeterministic, answers exact, matching the documented semantics
-/// of the sleep layer.
-pub(crate) struct ClaimTable<K> {
-    table: Table,
-    arena: Arena<ClaimEntry<K>>,
-}
-
-impl<K: Eq + Hash + Clone> ClaimTable<K> {
-    pub fn new() -> Self {
-        ClaimTable { table: Table::new(), arena: Arena::new() }
-    }
-
-    /// Claim `(key, sleep)` under the superset rule. Returns whether
-    /// the caller must expand the node.
-    pub fn claim(&self, key: &K, sleep: u128) -> bool {
-        let hash = fx_hash_of(key);
-        let (id, fresh) = self.table.find_or_insert(
-            hash,
-            |id| self.arena.get(id).key == *key,
-            || {
-                let entry = ClaimEntry {
-                    key: key.clone(),
-                    first_sleep: sleep,
-                    overflow: AtomicPtr::new(std::ptr::null_mut()),
-                };
-                self.arena.push(hash, entry, std::mem::size_of::<ClaimEntry<K>>())
-            },
-        );
-        if fresh {
-            return true;
-        }
-        let entry = self.arena.get(id);
-        let covers = |z: u128| z & !sleep == 0;
-        if covers(entry.first_sleep) {
-            return false;
-        }
-        let mut node: *mut SleepNode = std::ptr::null_mut();
-        loop {
-            // Acquire: a covering set pushed by another thread must be
-            // fully visible before we dedup against it.
-            let head = entry.overflow.load(Ordering::Acquire);
-            let mut p = head;
-            while !p.is_null() {
-                // SAFETY: nodes are never freed while the table lives.
-                let n = unsafe { &*p };
-                if covers(n.sleep) {
-                    if !node.is_null() {
-                        // SAFETY: our node never became reachable.
-                        drop(unsafe { Box::from_raw(node) });
-                    }
-                    return false;
-                }
-                p = n.next;
-            }
-            if node.is_null() {
-                node = Box::into_raw(Box::new(SleepNode { sleep, next: head }));
-            } else {
-                // SAFETY: not yet published; we still own it.
-                unsafe { (*node).next = head };
-            }
-            // Release: publishes the node's fields to the Acquire load
-            // above in other claimers.
-            match entry.overflow.compare_exchange(head, node, Ordering::Release, Ordering::Acquire)
-            {
-                Ok(_) => return true,
-                Err(_) => continue, // re-walk: the new head may cover us
-            }
-        }
-    }
-
-    /// Plain membership (any claim, regardless of sleep sets): the
-    /// POR cycle proviso's notion of "visited".
-    pub fn contains(&self, key: &K) -> bool {
-        self.table.lookup(fx_hash_of(key), |id| self.arena.get(id).key == *key).is_some()
-    }
-
-    pub fn contention(&self) -> Contention {
-        let mut c = self.table.contention();
-        c.arena_bytes = self.arena.bytes();
-        c
-    }
-}
-
-// SAFETY: ClaimEntry's raw pointers are to heap nodes owned by the
-// entry; concurrent access is mediated by the AtomicPtr protocol
-// above. Keys cross threads by reference (Sync) and by move into the
-// arena (Send).
-unsafe impl<K: Send + Sync> Sync for ClaimTable<K> {}
-unsafe impl<K: Send> Send for ClaimTable<K> {}
-
 // --- orbit keys ----------------------------------------------------------
 
 /// One exploration's orbit keys, by task-pool id: each sibling record
@@ -992,7 +853,11 @@ impl KeyTable {
 /// equality of the underlying states, modulo `steps` (frozen to 0 by
 /// the explorer) and message `seq`/`from` tags (which [`InFlight`]'s
 /// own `Eq` already ignores).
+///
+/// Four-byte aligned, so it is 36 bytes with no padding and a visited
+/// set's `(StateSig, u32)` key is 40 bytes, not 48.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(C, packed(4))]
 pub(crate) struct StateSig {
     globals: u32,
     objects: u32,
@@ -1316,40 +1181,6 @@ mod tests {
         });
         assert!(sigs.windows(2).all(|w| w[0] == w[1]), "equal states, equal signatures");
         assert_eq!(pools.materialize(sigs[0]), s0);
-    }
-
-    #[test]
-    fn claim_table_grants_each_key_exactly_once() {
-        let table: ClaimTable<(u32, usize)> = ClaimTable::new();
-        let wins: usize = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8u8)
-                .map(|_| {
-                    let table = &table;
-                    scope.spawn(move || (0..100u32).filter(|&k| table.claim(&(k, 0), 0)).count())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("no panic")).sum()
-        });
-        assert_eq!(wins, 100, "every key claimed exactly once across workers");
-        assert!(table.contains(&(0, 0)));
-        assert!(!table.contains(&(0, 1)));
-    }
-
-    #[test]
-    fn claim_table_superset_rule() {
-        let table: ClaimTable<u32> = ClaimTable::new();
-        // First claim under {tasks 0,1} asleep.
-        assert!(table.claim(&7, 0b11));
-        // Superset of a stored set: covered, no re-expansion.
-        assert!(!table.claim(&7, 0b111));
-        // Incomparable set: must re-expand (appends).
-        assert!(table.claim(&7, 0b100));
-        // Now covered by the appended {2}.
-        assert!(!table.claim(&7, 0b110));
-        // The empty set is covered by nothing stored ({0,1} ⊄ ∅, {2} ⊄ ∅)…
-        assert!(table.claim(&7, 0));
-        // …and once stored covers everything.
-        assert!(!table.claim(&7, 0b1000));
     }
 
     /// Seeded multi-thread hammer: N threads race to intern M keys

@@ -15,6 +15,7 @@
 //! recorded before the kernel existed keep naming the same runs.
 
 use crate::event::Event;
+use crate::explore::choice_task;
 use crate::interp::{Choice, Interp, Outcome};
 use crate::state::State;
 use crate::value::RuntimeError;
@@ -103,18 +104,14 @@ impl Default for RoundRobinScheduler {
 
 impl Scheduler for RoundRobinScheduler {
     fn pick(&mut self, choices: &[Choice], _state: &State) -> usize {
-        let task_of = |c: &Choice| match c {
-            Choice::Step(t) => t.0,
-            Choice::Receive { task, .. } => task.0,
-        };
         let idx = choices
             .iter()
             .enumerate()
-            .filter(|(_, c)| task_of(c) > self.last)
+            .filter(|(_, c)| choice_task(c).0 > self.last)
             .map(|(i, _)| i)
             .next()
             .unwrap_or(0);
-        self.last = task_of(&choices[idx]);
+        self.last = choice_task(&choices[idx]).0;
         idx
     }
 

@@ -45,10 +45,10 @@
 //! under negation.
 
 use crate::event::{Event, EventKindPattern, EventPattern, StateView};
-use crate::explore::TerminalKind;
+use crate::explore::{choice_task, TerminalKind};
 use crate::graph::{GraphEdge, StateGraph, WitnessEvidence};
 use crate::intern::{fx_hash_of, FxHashMap, FxHashSet};
-use crate::interp::{Choice, Interp};
+use crate::interp::Interp;
 use std::collections::VecDeque;
 
 /// Largest spec alphabet (distinct event patterns); symbols are
@@ -785,7 +785,7 @@ pub(crate) fn check_on_graph(graph: &StateGraph, interp: &Interp, monitor: &Moni
             decisions.extend(edge.picks);
             events.extend(edge.events.iter().cloned());
         }
-        let decisions = graph.concretize(interp, decisions);
+        let decisions = graph.concretize_decisions(interp, decisions);
         WitnessEvidence { decisions, setup_len: 0, events }
     };
     let violation =
@@ -892,13 +892,9 @@ impl<'g> StarvationCtx<'g> {
             let mut out = Vec::with_capacity(edge.picks.len());
             for &pick in edge.picks {
                 let choices = self.interp.choices(&state);
-                let acts = |c: &Choice| match c {
-                    Choice::Step(t) => *t,
-                    Choice::Receive { task, .. } => *task,
-                };
-                let enabled = choices.iter().any(|c| state.task(acts(c)).label == *label);
+                let enabled = choices.iter().any(|c| state.task(choice_task(c)).label == *label);
                 let choice = choices.get(pick).expect("stored pick in range").clone();
-                let watched_acts = state.task(acts(&choice)).label == *label;
+                let watched_acts = state.task(choice_task(&choice)).label == *label;
                 out.push((enabled, watched_acts));
                 self.interp
                     .apply(&mut state, &choice)
