@@ -26,10 +26,12 @@
 //!   commutation argument does not protect.
 
 use crate::event::{Event, EventPattern, StateCond};
+use crate::footprint::Footprint;
 use crate::intern::{canonicalize_live, FxHashMap, FxHashSet, Interner, StateSig};
 use crate::interp::{Choice, Interp, Outcome};
 use crate::state::{State, TaskId, TaskStatus};
 use crate::value::RuntimeError;
+use std::cell::OnceCell;
 use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -300,6 +302,40 @@ pub(crate) struct Visibility<'v> {
 
 impl Visibility<'_> {
     pub(crate) const NONE: Visibility<'static> = Visibility { patterns: &[], conds: &[] };
+
+    /// Whether a footprint is fully resolved and invisible to the
+    /// active query and watched conditions.
+    fn invisible(self, fp: &Footprint<'_>) -> bool {
+        !(fp.unknown || fp.may_match_patterns(self.patterns) || fp.affects_conds(self.conds))
+    }
+}
+
+/// The footprints of one planned state's choices, each resolved on
+/// first use and kept until the plan is made. The sleep-set filter,
+/// the singleton test, the ample search and the full expansion all
+/// compare the same footprints, so each choice's is computed at most
+/// once per planned state.
+pub(crate) struct ChoiceFootprints<'s> {
+    interp: &'s Interp,
+    state: &'s State,
+    choices: &'s [Choice],
+    memo: Vec<OnceCell<Footprint<'s>>>,
+}
+
+impl<'s> ChoiceFootprints<'s> {
+    fn new(interp: &'s Interp, state: &'s State, choices: &'s [Choice]) -> Self {
+        ChoiceFootprints { interp, state, choices, memo: vec![OnceCell::new(); choices.len()] }
+    }
+
+    /// The footprint of choice `i`.
+    fn get(&self, i: usize) -> &Footprint<'s> {
+        self.memo[i].get_or_init(|| self.interp.choice_footprint(self.state, &self.choices[i]))
+    }
+
+    /// Whether choice `i` is fully resolved and invisible.
+    fn invisible(&self, i: usize, visibility: Visibility<'_>) -> bool {
+        visibility.invisible(self.get(i))
+    }
 }
 
 /// A precomputed successor edge: the interned signature of the state
@@ -982,20 +1018,31 @@ impl<'i> Explorer<'i> {
         ctx: ExploreCtx<'_>,
         stats: &mut Stats,
     ) -> Result<Expansion, RuntimeError> {
+        if !reduction.por && !reduction.sleep {
+            // No layer compares footprints: every choice is expanded.
+            return Ok(Expansion::Full { choices, sleeps: Vec::new(), origin: None, next: 0 });
+        }
+        let footprints = ChoiceFootprints::new(self.interp, state, &choices);
         // A task may stay asleep only while its sole enabled choice is
         // a resolved, invisible Step: a Send elsewhere can add Receive
         // choices to a task without any footprint conflict, so
         // sleeping through enabledness changes would be unsound.
         // Re-checked here, at the node the sleep set arrived at.
         let sleep = if reduction.sleep && sleep != 0 {
-            self.retain_sleepable(state, &choices, sleep, visibility)
+            self.retain_sleepable(&footprints, sleep, visibility)
         } else {
             0
         };
         if reduction.por {
             let first = if choices.len() > 1 {
                 let ample = self.try_ample(
-                    state, &choices, progress, reduction, sleep, visibility, ctx, stats,
+                    &footprints,
+                    progress,
+                    reduction,
+                    sleep,
+                    visibility,
+                    ctx,
+                    stats,
                 )?;
                 if let Some((succs, _, _, slept)) = &ample {
                     stats.por_ample_states += 1;
@@ -1004,7 +1051,7 @@ impl<'i> Explorer<'i> {
                     stats.transitions += succs.len();
                 }
                 ample
-            } else if choices.len() == 1 && self.invisible(state, &choices[0], visibility) {
+            } else if choices.len() == 1 && footprints.invisible(0, visibility) {
                 if sleep_has(sleep, choice_task(&choices[0])) {
                     // The state's only transition is already covered
                     // by the sibling branch that put its task to
@@ -1012,18 +1059,17 @@ impl<'i> Explorer<'i> {
                     stats.sleep_pruned += 1;
                     return Ok(Expansion::Ample { succs: Vec::new(), sleeps: Vec::new(), next: 0 });
                 }
+                // `retain_sleepable` keeps only sleepers with a choice
+                // here, and this choice's task is awake, so the sleep
+                // set is empty and so is the child's.
+                debug_assert_eq!(sleep, 0);
                 // A forced invisible step: no interleaving exists to
                 // defer, so take it eagerly — it may seed a corridor.
                 let mut next = state.clone();
                 let events = self.interp.apply(&mut next, &choices[0])?;
-                let perm = self.normalize(reduction, ctx.pools, &mut next, stats);
+                self.normalize(reduction, ctx.pools, &mut next, stats);
                 stats.transitions += 1;
-                let child = remap_sleep(
-                    self.filter_sleep_by_conflict(state, &choices, sleep, &choices[0]),
-                    perm.as_deref(),
-                );
-                let sleeps = if child == 0 { Vec::new() } else { vec![child] };
-                Some((vec![(ctx.pools.intern(&next), events, vec![0])], vec![next], sleeps, 0))
+                Some((vec![(ctx.pools.intern(&next), events, vec![0])], vec![next], Vec::new(), 0))
             } else {
                 None
             };
@@ -1047,7 +1093,7 @@ impl<'i> Explorer<'i> {
             // must *seed* child sleeps: branch i's children put earlier
             // independent siblings to sleep, which is where every
             // non-empty sleep set originates.
-            return Ok(self.full_minus_sleep(state, choices, sleep, visibility, stats));
+            return Ok(self.full_minus_sleep(&footprints, sleep, visibility, stats));
         }
         Ok(Expansion::Full { choices, sleeps: Vec::new(), origin: None, next: 0 })
     }
@@ -1078,11 +1124,11 @@ impl<'i> Explorer<'i> {
     /// resolved, invisible footprint. Receive choices never sleep.
     fn retain_sleepable(
         &self,
-        state: &State,
-        choices: &[Choice],
+        footprints: &ChoiceFootprints<'_>,
         sleep: SleepSet,
         visibility: Visibility<'_>,
     ) -> SleepSet {
+        let choices = footprints.choices;
         let mut kept = 0u128;
         for (i, choice) in choices.iter().enumerate() {
             let t = choice_task(choice);
@@ -1092,33 +1138,7 @@ impl<'i> Explorer<'i> {
             if choices.iter().enumerate().any(|(j, c)| j != i && choice_task(c) == t) {
                 continue;
             }
-            if self.invisible(state, choice, visibility) {
-                kept |= sleep_bit(t);
-            }
-        }
-        kept
-    }
-
-    /// The part of `sleep` that survives taking `taken`: a sleeper
-    /// stays asleep exactly when its (sole) step's footprint does not
-    /// conflict with the taken step's (classic sleep-set filtering).
-    fn filter_sleep_by_conflict(
-        &self,
-        state: &State,
-        choices: &[Choice],
-        sleep: SleepSet,
-        taken: &Choice,
-    ) -> SleepSet {
-        if sleep == 0 {
-            return 0;
-        }
-        let fp_taken = self.interp.choice_footprint(state, taken);
-        let mut kept = 0u128;
-        for choice in choices {
-            let t = choice_task(choice);
-            if sleep_has(sleep, t)
-                && !self.interp.choice_footprint(state, choice).conflicts_with(&fp_taken)
-            {
+            if footprints.invisible(i, visibility) {
                 kept |= sleep_bit(t);
             }
         }
@@ -1133,14 +1153,12 @@ impl<'i> Explorer<'i> {
     /// granularity).
     fn full_minus_sleep(
         &self,
-        state: &State,
-        choices: Vec<Choice>,
+        footprints: &ChoiceFootprints<'_>,
         sleep: SleepSet,
         visibility: Visibility<'_>,
         stats: &mut Stats,
     ) -> Expansion {
-        let footprints: Vec<_> =
-            choices.iter().map(|c| self.interp.choice_footprint(state, c)).collect();
+        let choices = footprints.choices;
         // Which tasks are sleepable *at this state* (for the
         // earlier-sibling additions): sole choice, Step, resolved and
         // invisible.
@@ -1149,9 +1167,7 @@ impl<'i> Explorer<'i> {
             let t = choice_task(choice);
             if matches!(choice, Choice::Step(_))
                 && !choices.iter().enumerate().any(|(j, c)| j != i && choice_task(c) == t)
-                && !footprints[i].unknown
-                && !footprints[i].may_match_patterns(visibility.patterns)
-                && !footprints[i].affects_conds(visibility.conds)
+                && footprints.invisible(i, visibility)
             {
                 sleepable |= sleep_bit(t);
             }
@@ -1164,10 +1180,10 @@ impl<'i> Explorer<'i> {
         let mut out = Vec::with_capacity(kept.len());
         let mut sleeps = Vec::with_capacity(kept.len());
         for (pos, &i) in kept.iter().enumerate() {
-            let fp_taken = &footprints[i];
+            let fp_taken = footprints.get(i);
             let mut z = 0u128;
             for &j in &slept {
-                if !footprints[j].conflicts_with(fp_taken) {
+                if !footprints.get(j).conflicts_with(fp_taken) {
                     z |= sleep_bit(choice_task(&choices[j]));
                 }
             }
@@ -1175,7 +1191,7 @@ impl<'i> Explorer<'i> {
                 let u = choice_task(&choices[j]);
                 if u != choice_task(&choices[i])
                     && sleepable & sleep_bit(u) != 0
-                    && !footprints[j].conflicts_with(fp_taken)
+                    && !footprints.get(j).conflicts_with(fp_taken)
                 {
                     z |= sleep_bit(u);
                 }
@@ -1184,20 +1200,6 @@ impl<'i> Explorer<'i> {
             out.push(choices[i].clone());
         }
         Expansion::Full { choices: out, sleeps, origin: Some(kept), next: 0 }
-    }
-
-    /// Whether a choice's footprint is fully resolved and invisible to
-    /// the active query and watched conditions.
-    pub(crate) fn invisible(
-        &self,
-        state: &State,
-        choice: &Choice,
-        visibility: Visibility<'_>,
-    ) -> bool {
-        let fp = self.interp.choice_footprint(state, choice);
-        !(fp.unknown
-            || fp.may_match_patterns(visibility.patterns)
-            || fp.affects_conds(visibility.conds))
     }
 
     /// Corridor compression: a singleton invisible edge often leads
@@ -1253,7 +1255,7 @@ impl<'i> Explorer<'i> {
             let hop = match choices.len() {
                 0 => None,
                 1 => {
-                    if self.invisible(&cur, &choices[0], visibility) {
+                    if visibility.invisible(&self.interp.choice_footprint(&cur, &choices[0])) {
                         // The predecessor state is dead once the hop
                         // commits, so apply in place — no clone.
                         let evs = self.interp.apply(&mut cur, &choices[0])?;
@@ -1268,9 +1270,16 @@ impl<'i> Explorer<'i> {
                     // Corridors only run with an empty sleep set (see
                     // `plan_expansion`), and an empty set stays empty
                     // through a singleton hop, so pass sleep = 0.
-                    match self
-                        .try_ample(&cur, &choices, progress, reduction, 0, visibility, ctx, stats)?
-                    {
+                    let footprints = ChoiceFootprints::new(self.interp, &cur, &choices);
+                    match self.try_ample(
+                        &footprints,
+                        progress,
+                        reduction,
+                        0,
+                        visibility,
+                        ctx,
+                        stats,
+                    )? {
                         Some((succs, states, _, _)) if succs.len() == 1 => {
                             stats.por_ample_states += 1;
                             stats.por_pruned_choices += choices.len() - 1;
@@ -1322,8 +1331,7 @@ impl<'i> Explorer<'i> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn try_ample(
         &self,
-        state: &State,
-        choices: &[Choice],
+        footprints: &ChoiceFootprints<'_>,
         progress: usize,
         reduction: Reduction,
         sleep: SleepSet,
@@ -1331,6 +1339,7 @@ impl<'i> Explorer<'i> {
         ctx: ExploreCtx<'_>,
         stats: &mut Stats,
     ) -> Result<Option<AmpleOut>, RuntimeError> {
+        let (state, choices) = (footprints.state, footprints.choices);
         // The candidates are the runs of one task's choices, in task
         // order: the order `Interp::choices` lists them in.
         debug_assert!(
@@ -1340,22 +1349,14 @@ impl<'i> Explorer<'i> {
         if choices.first().map(choice_task) == choices.last().map(choice_task) {
             return Ok(None);
         }
-        let footprints: Vec<_> =
-            choices.iter().map(|c| self.interp.choice_footprint(state, c)).collect();
 
         let mut next_run = 0;
         'candidate: while next_run < choices.len() {
             let tid = choice_task(&choices[next_run]);
             let idxs = task_run(choices, tid);
             next_run = idxs.end;
-            for i in idxs.clone() {
-                let fp = &footprints[i];
-                if fp.unknown
-                    || fp.may_match_patterns(visibility.patterns)
-                    || fp.affects_conds(visibility.conds)
-                {
-                    continue 'candidate;
-                }
+            if !idxs.clone().all(|i| footprints.invisible(i, visibility)) {
+                continue 'candidate;
             }
             // Accesses protected by the candidate's held locks cannot
             // race anything another task can reach before the
@@ -1366,7 +1367,7 @@ impl<'i> Explorer<'i> {
                 Vec::new() // nothing held, nothing to shield
             } else {
                 idxs.clone()
-                    .map(|i| self.interp.shield_footprint(candidate, &footprints[i]))
+                    .map(|i| self.interp.shield_footprint(candidate, footprints.get(i)))
                     .collect()
             };
             for (o, other) in state.tasks.iter().enumerate() {
@@ -1374,7 +1375,7 @@ impl<'i> Explorer<'i> {
                     continue;
                 }
                 let conflicts = if shielded.is_empty() {
-                    idxs.clone().any(|i| self.interp.future_conflicts(other, &footprints[i]))
+                    idxs.clone().any(|i| self.interp.future_conflicts(other, footprints.get(i)))
                 } else {
                     shielded.iter().any(|fp| self.interp.future_conflicts(other, fp))
                 };
@@ -1410,7 +1411,9 @@ impl<'i> Explorer<'i> {
                         let slept = TaskId(b as usize);
                         // Sleepable tasks have exactly one choice.
                         let js = task_run(choices, slept);
-                        if js.len() == 1 && !footprints[js.start].conflicts_with(&footprints[i]) {
+                        if js.len() == 1
+                            && !footprints.get(js.start).conflicts_with(footprints.get(i))
+                        {
                             z |= sleep_bit(slept);
                         }
                     }

@@ -21,31 +21,80 @@
 //! [`Footprint::unknown`] (or [`StaticSummary::unknown`]) flag, which
 //! makes the explorer fall back to full expansion at that state — the
 //! reduction is allowed to be incomplete, never unsound.
+//!
+//! A [`Footprint`] borrows from the state and the compiled program it
+//! was resolved against: cells are [`CellRef`]s, and task labels,
+//! function and message names are `&str`. Only a detached child's
+//! label, which the spawn formats, and a message payload that has to
+//! be evaluated are owned. The explorer resolves each choice's
+//! footprint at most once per state it plans and compares the same
+//! value in every test of that plan. The comparisons allocate nothing:
+//! a resource is looked up in a [`StaticSummary`] by its `(variant,
+//! name)` key, and [`Interp::shield_footprint`] copies only the reads
+//! and writes that pass its filter.
 
 use crate::event::{EventKindPattern, EventPattern};
 use crate::explore::choice_task;
-use crate::interp::{Choice, Interp};
+use crate::interp::{name_value, Choice, Interp};
 use crate::program::{CalleeRef, CodeId, Compiled, Instr};
-use crate::state::{BlockReason, Cell, Frame, State, Task, TaskStatus};
+use crate::state::{BlockReason, Cell, Frame, State, Task, TaskId, TaskStatus};
 use crate::value::{ObjId, Value};
 use concur_pseudocode::analysis::FootRef;
 use concur_pseudocode::ast::{Expr, ExprKind, LValue};
+use std::borrow::{Borrow, Cow};
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
+
+/// A shared cell as a footprint names it: a [`Cell`] whose name is
+/// borrowed from the compiled program or the state instead of owned.
+/// The derived order is [`Cell`]'s (globals by name, then fields by
+/// object and name), so a list sorted as one is sorted as the other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum CellRef<'a> {
+    Global(&'a str),
+    Field(ObjId, &'a str),
+}
+
+impl<'a> CellRef<'a> {
+    /// The variable or field name.
+    pub fn name(self) -> &'a str {
+        match self {
+            CellRef::Global(n) | CellRef::Field(_, n) => n,
+        }
+    }
+
+    /// The owned cell, for storing in a state or an event.
+    pub fn to_cell(self) -> Cell {
+        match self {
+            CellRef::Global(n) => Cell::Global(n.to_string()),
+            CellRef::Field(obj, n) => Cell::Field(obj, n.to_string()),
+        }
+    }
+}
+
+impl<'a> From<&'a Cell> for CellRef<'a> {
+    fn from(cell: &'a Cell) -> Self {
+        match cell {
+            Cell::Global(n) => CellRef::Global(n),
+            Cell::Field(obj, n) => CellRef::Field(*obj, n),
+        }
+    }
+}
 
 /// A concrete shared resource touched by one atomic step.
 ///
 /// Task-private data (locals, program counters, per-task counters,
 /// a task's own status) never appears here: steps of different tasks
 /// cannot both touch it, so it cannot create a dependency.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Resource {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Resource<'a> {
     /// A global variable or object field.
-    Cell(Cell),
+    Cell(CellRef<'a>),
     /// The lock guarding a cell (`EXC_ACC` acquisition state).
     /// Separate from [`Resource::Cell`]: entering a block conflicts
     /// with other lock traffic on the same cells, not with plain
     /// reads of the data.
-    Lock(Cell),
+    Lock(CellRef<'a>),
     /// Removal of a message from one receiver object's share of the
     /// in-flight pool (a delivery, matched or dead-lettered), plus the
     /// receiver's processing of it. Two takes from the same mailbox do
@@ -92,24 +141,87 @@ pub enum StaticResource {
     DeadLetters,
 }
 
-impl Resource {
-    /// The static key this concrete resource falls under.
-    fn to_static(&self) -> StaticResource {
-        let cell_name = |c: &Cell| match c {
-            Cell::Global(n) => n.clone(),
-            Cell::Field(_, n) => n.clone(),
-        };
+/// A [`StaticResource`] as a `(variant, name)` pair: the variant's
+/// position in the declaration and its name (empty for the unnamed
+/// variants). Tuple order is the derived order of `StaticResource`,
+/// so a summary's sets can be searched by a concrete resource's key
+/// (see [`StaticKey`]) without building an owned `StaticResource`.
+type Key<'a> = (u8, &'a str);
+
+/// Something that orders as a static resource's `(variant, name)`
+/// key. `StaticResource` borrows as `dyn StaticKey`, so a
+/// `BTreeSet<StaticResource>` answers `contains` for a bare key.
+trait StaticKey {
+    /// The `(variant, name)` pair this value orders by.
+    fn static_key(&self) -> Key<'_>;
+}
+
+impl StaticKey for StaticResource {
+    fn static_key(&self) -> Key<'_> {
         match self {
-            Resource::Cell(c) => StaticResource::Named(cell_name(c)),
-            Resource::Lock(c) => StaticResource::LockNamed(cell_name(c)),
-            Resource::MailboxTake(_) => StaticResource::AnyMailboxTake,
-            Resource::Output => StaticResource::Output,
-            Resource::WaitSet => StaticResource::WaitSet,
-            Resource::TaskAlloc => StaticResource::TaskAlloc,
-            Resource::ObjAlloc => StaticResource::ObjAlloc,
-            Resource::DeadLetters => StaticResource::DeadLetters,
+            StaticResource::Named(n) => (0, n),
+            StaticResource::LockNamed(n) => (1, n),
+            StaticResource::AnyMailboxTake => (2, ""),
+            StaticResource::Output => (3, ""),
+            StaticResource::WaitSet => (4, ""),
+            StaticResource::TaskAlloc => (5, ""),
+            StaticResource::ObjAlloc => (6, ""),
+            StaticResource::DeadLetters => (7, ""),
         }
     }
+}
+
+impl StaticKey for Key<'_> {
+    fn static_key(&self) -> Key<'_> {
+        *self
+    }
+}
+
+impl<'a> Resource<'a> {
+    /// The key of the static resource this concrete one falls under.
+    fn static_key(self) -> Key<'a> {
+        match self {
+            Resource::Cell(c) => (0, c.name()),
+            Resource::Lock(c) => (1, c.name()),
+            Resource::MailboxTake(_) => (2, ""),
+            Resource::Output => (3, ""),
+            Resource::WaitSet => (4, ""),
+            Resource::TaskAlloc => (5, ""),
+            Resource::ObjAlloc => (6, ""),
+            Resource::DeadLetters => (7, ""),
+        }
+    }
+}
+
+impl<'a> Borrow<dyn StaticKey + 'a> for StaticResource {
+    fn borrow(&self) -> &(dyn StaticKey + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn StaticKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.static_key() == other.static_key()
+    }
+}
+
+impl Eq for dyn StaticKey + '_ {}
+
+impl PartialOrd for dyn StaticKey + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn StaticKey + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.static_key().cmp(&other.static_key())
+    }
+}
+
+/// Does `set` hold the static resource `r` falls under?
+fn holds(set: &BTreeSet<StaticResource>, r: Resource<'_>) -> bool {
+    set.contains(&r.static_key() as &dyn StaticKey)
 }
 
 /// Bitmask over the event kinds an [`crate::event::EventPattern`] can
@@ -197,24 +309,38 @@ impl EventMask {
 /// Task labels are fixed at spawn and qualified function names are
 /// the exact strings [`crate::event::Event`] carries, so comparing
 /// them against a pattern here answers, exactly, whether the emitted
-/// event *could* match the pattern when it happens.
+/// event *could* match the pattern when it happens. Every detail is
+/// borrowed from the state or the compiled program, except a detached
+/// child's label, which is formatted the way the spawn will format
+/// it, and a payload that had to be evaluated.
 #[derive(Debug, Clone)]
-pub struct Emit {
+pub struct Emit<'a> {
     /// Single-bit kind of the event.
     pub kind: EventMask,
     /// Label of the task the event is attributed to.
-    pub label: Option<String>,
+    pub label: Option<Cow<'a, str>>,
     /// Qualified function name (`Called`/`Returned` only).
-    pub func: Option<String>,
+    pub func: Option<&'a str>,
     /// Message name (`Sent`/`Received` only).
-    pub msg_name: Option<String>,
+    pub msg_name: Option<&'a str>,
     /// Message payload, when fully resolvable.
-    pub msg_args: Option<Vec<Value>>,
+    pub msg_args: Option<Cow<'a, [Value]>>,
 }
 
-impl Emit {
-    fn kind(kind: EventMask, label: impl Into<Option<String>>) -> Emit {
-        Emit { kind, label: label.into(), func: None, msg_name: None, msg_args: None }
+impl<'a> Emit<'a> {
+    /// A `Called`/`Returned` emit of `func` by the task labelled `label`.
+    fn call(kind: EventMask, label: Option<Cow<'a, str>>, func: &'a str) -> Emit<'a> {
+        Emit { kind, label, func: Some(func), msg_name: None, msg_args: None }
+    }
+
+    /// Could the label of this emit be `label`?
+    fn label_may_be(&self, label: &str) -> bool {
+        self.label.as_deref().is_none_or(|l| l == label)
+    }
+
+    /// Could this emit's function be `func`?
+    fn func_may_be(&self, func: &str) -> bool {
+        self.func.is_none_or(|f| f == func)
     }
 
     /// Could this emit, once it becomes an event, match `pattern`?
@@ -223,20 +349,20 @@ impl Emit {
         if !self.kind.intersects(kind_mask) {
             return false;
         }
-        if let (Some(label), Some(want)) = (&self.label, &pattern.task_label) {
-            if label != want {
+        if let Some(want) = &pattern.task_label {
+            if !self.label_may_be(want) {
                 return false;
             }
         }
         match &pattern.kind {
             EventKindPattern::Called { func } | EventKindPattern::Returned { func } => {
-                self.func.as_ref().is_none_or(|f| f == func)
+                self.func_may_be(func)
             }
             EventKindPattern::Sent { msg_name, args }
             | EventKindPattern::Received { msg_name, args } => {
-                self.msg_name.as_ref().is_none_or(|n| n == msg_name)
+                self.msg_name.is_none_or(|n| n == msg_name)
                     && match (args, &self.msg_args) {
-                        (Some(want), Some(have)) => want == have,
+                        (Some(want), Some(have)) => want[..] == have[..],
                         _ => true,
                     }
             }
@@ -247,11 +373,16 @@ impl Emit {
 }
 
 /// The exact shared-resource effect of one enabled choice in one
-/// state.
+/// state, borrowed from that state and the compiled program: building
+/// one copies no name, label or payload the state already holds. The
+/// explorer computes it at most once per choice of each state it
+/// plans (the planner's per-state memo) and compares it with the
+/// footprints of sibling choices and with other tasks' static
+/// summaries.
 #[derive(Debug, Clone, Default)]
-pub struct Footprint {
-    pub reads: Vec<Resource>,
-    pub writes: Vec<Resource>,
+pub struct Footprint<'a> {
+    pub reads: Vec<Resource<'a>>,
+    pub writes: Vec<Resource<'a>>,
     /// Some access could not be resolved; the explorer must treat the
     /// choice as conflicting with everything.
     pub unknown: bool,
@@ -259,34 +390,55 @@ pub struct Footprint {
     /// `emit_events` kinds; kept as a mask for cheap checks).
     pub emits: EventMask,
     /// The queryable events this step will emit, with details.
-    pub emit_events: Vec<Emit>,
+    pub emit_events: Vec<Emit<'a>>,
     /// Label of the task whose mailbox delivery this step performs
     /// (matched *or* dead-lettered — both bump the receiver's
     /// `received` counter).
-    pub delivery_label: Option<String>,
+    pub delivery_label: Option<&'a str>,
     /// Labels of the tasks this step creates (`None` = creates none;
     /// an unresolved label inside is conservative).
-    pub spawns: Option<Vec<Option<String>>>,
+    pub spawns: Option<Vec<Option<Cow<'a, str>>>>,
     /// Label of the stepping task (lock transitions only ever change
     /// the actor's own held set).
-    pub actor_label: Option<String>,
+    pub actor_label: Option<&'a str>,
 }
 
-impl Footprint {
-    fn read(&mut self, r: Resource) {
+impl<'a> Footprint<'a> {
+    fn read(&mut self, r: Resource<'a>) {
         self.reads.push(r);
     }
 
-    fn write(&mut self, r: Resource) {
+    fn write(&mut self, r: Resource<'a>) {
         self.writes.push(r);
     }
 
-    fn emit(&mut self, e: Emit) {
+    /// Read and write the lock of each cell (acquiring it).
+    fn lock(&mut self, cells: impl IntoIterator<Item = CellRef<'a>>) {
+        for c in cells {
+            self.read(Resource::Lock(c));
+            self.write(Resource::Lock(c));
+        }
+    }
+
+    /// Write the lock of each cell (releasing it).
+    fn unlock(&mut self, cells: &'a [Cell]) {
+        for c in cells {
+            self.write(Resource::Lock(c.into()));
+        }
+    }
+
+    fn emit(&mut self, e: Emit<'a>) {
         self.emits = self.emits.union(e.kind);
         self.emit_events.push(e);
     }
 
-    fn spawn_label(&mut self, label: Option<String>) {
+    /// Emit an event of `kind` attributed to the stepping task.
+    fn emit_kind(&mut self, kind: EventMask) {
+        let label = self.actor_label.map(Cow::Borrowed);
+        self.emit(Emit { kind, label, func: None, msg_name: None, msg_args: None });
+    }
+
+    fn spawn_label(&mut self, label: Option<Cow<'a, str>>) {
         self.spawns.get_or_insert_with(Vec::new).push(label);
     }
 
@@ -296,7 +448,7 @@ impl Footprint {
     /// conflict (classic Godefroid independence at the access level):
     /// either side unresolved counts as a conflict, as does any
     /// write/write or read/write overlap.
-    pub fn conflicts_with(&self, other: &Footprint) -> bool {
+    pub fn conflicts_with(&self, other: &Footprint<'_>) -> bool {
         if self.unknown || other.unknown {
             return true;
         }
@@ -322,7 +474,7 @@ impl Footprint {
     fn spawn_creates(&self, label: &str) -> bool {
         match &self.spawns {
             None => false,
-            Some(labels) => labels.iter().any(|l| l.as_ref().is_none_or(|l| l == label)),
+            Some(labels) => labels.iter().any(|l| l.as_deref().is_none_or(|l| l == label)),
         }
     }
 
@@ -346,62 +498,61 @@ impl Footprint {
                 self.emit_events.iter().any(|e| {
                     let relevant =
                         (e.kind.intersects(EventMask::CALLED.union(EventMask::RETURNED))
-                            && e.func.as_ref().is_none_or(|f| f == func))
+                            && e.func_may_be(func))
                             || e.kind.intersects(EventMask::FINISHED);
-                    relevant && e.label.as_ref().is_none_or(|l| l == task_label)
+                    relevant && e.label_may_be(task_label)
                 }) || self.spawn_creates(task_label)
             }
             // Counters are keyed by the same qualified names.
             C::CalledTimes { task_label, func, .. } => {
                 self.emit_events.iter().any(|e| {
                     e.kind.intersects(EventMask::CALLED)
-                        && e.func.as_ref().is_none_or(|f| f == func)
-                        && e.label.as_ref().is_none_or(|l| l == task_label)
+                        && e.func_may_be(func)
+                        && e.label_may_be(task_label)
                 }) || self.spawn_creates(task_label)
             }
             C::ReturnedTimes { task_label, func, .. } => {
                 self.emit_events.iter().any(|e| {
                     e.kind.intersects(EventMask::RETURNED)
-                        && e.func.as_ref().is_none_or(|f| f == func)
-                        && e.label.as_ref().is_none_or(|l| l == task_label)
+                        && e.func_may_be(func)
+                        && e.label_may_be(task_label)
                 }) || self.spawn_creates(task_label)
             }
             // `sent` only grows, so task creation (zero counters)
             // cannot change a ≥1 threshold.
             C::HasSent { task_label, msg_name } => self.emit_events.iter().any(|e| {
                 e.kind.intersects(EventMask::SENT)
-                    && e.label.as_ref().is_none_or(|l| l == task_label)
-                    && e.msg_name.as_ref().is_none_or(|n| n == msg_name)
+                    && e.label_may_be(task_label)
+                    && e.msg_name.is_none_or(|n| n == msg_name)
             }),
             // `received` counts every delivery to the task, matched or
             // dead-lettered (the latter emits nothing queryable).
             C::ReceivedTotal { task_label, .. } => {
-                self.delivery_label.as_ref().is_some_and(|l| l == task_label)
+                self.delivery_label.is_some_and(|l| l == task_label)
                     || self.spawn_creates(task_label)
             }
             C::GlobalEquals { name, .. } => self
                 .writes
                 .iter()
-                .any(|r| matches!(r, Resource::Cell(Cell::Global(n)) if n == name)),
+                .any(|r| matches!(r, Resource::Cell(CellRef::Global(n)) if n == name)),
             C::TaskExists { task_label } => self.spawn_creates(task_label),
             // Lock transitions only change the acting task's held set.
             C::HoldsLock { task_label } => {
                 self.writes.iter().any(|r| matches!(r, Resource::Lock(_)))
-                    && self.actor_label.as_ref().is_none_or(|l| l == task_label)
+                    && self.actor_label.is_none_or(|l| l == task_label)
             }
         })
     }
 
     /// Would executing this step conflict (in the classic W/W, W/R,
-    /// R/W sense) with anything in a static summary?
+    /// R/W sense) with anything in a static summary? Each resource is
+    /// looked up by its `(variant, name)` key, so nothing is built.
     pub fn conflicts_with_static(&self, summary: &StaticSummary) -> bool {
         if self.unknown || summary.unknown {
             return true;
         }
-        self.writes.iter().any(|r| {
-            let key = r.to_static();
-            summary.writes.contains(&key) || summary.reads.contains(&key)
-        }) || self.reads.iter().any(|r| summary.writes.contains(&r.to_static()))
+        self.writes.iter().any(|&r| holds(&summary.writes, r) || holds(&summary.reads, r))
+            || self.reads.iter().any(|&r| holds(&summary.writes, r))
     }
 }
 
@@ -979,10 +1130,11 @@ fn discipline_scan(compiled: &Compiled, own: &[Vec<StaticSummary>]) -> (BTreeSet
 impl Interp {
     /// The exact shared-resource footprint of one enabled choice in
     /// `state`. Mirrors [`Interp::apply`]'s resolution logic without
-    /// mutating anything.
-    pub fn choice_footprint(&self, state: &State, choice: &Choice) -> Footprint {
+    /// mutating anything, and borrows every name it records from
+    /// `state` or the compiled program.
+    pub fn choice_footprint<'a>(&'a self, state: &'a State, choice: &Choice) -> Footprint<'a> {
         let mut fp = Footprint {
-            actor_label: Some(state.task(choice_task(choice)).label.clone()),
+            actor_label: Some(&state.task(choice_task(choice)).label),
             ..Footprint::default()
         };
         match choice {
@@ -994,20 +1146,20 @@ impl Interp {
         fp
     }
 
-    fn receive_footprint(
-        &self,
-        state: &State,
-        tid: crate::state::TaskId,
+    fn receive_footprint<'a>(
+        &'a self,
+        state: &'a State,
+        tid: TaskId,
         idx: usize,
-        fp: &mut Footprint,
+        fp: &mut Footprint<'a>,
     ) {
         let Some(inflight) = state.inflight.get(idx) else {
             fp.unknown = true;
             return;
         };
         fp.write(Resource::MailboxTake(inflight.to));
-        let receiver = state.task(tid).label.clone();
-        fp.delivery_label = Some(receiver.clone());
+        // The receiver is the stepping task.
+        fp.delivery_label = fp.actor_label;
         let matched = match self.current_instr(state, tid) {
             Some(Instr::Receive { arms, .. }) => {
                 arms.iter().any(|a| a.msg_name == inflight.msg.name)
@@ -1020,36 +1172,29 @@ impl Interp {
         if matched {
             fp.emit(Emit {
                 kind: EventMask::RECEIVED,
-                label: Some(receiver),
+                label: fp.actor_label.map(Cow::Borrowed),
                 func: None,
-                msg_name: Some(inflight.msg.name.clone()),
-                msg_args: Some(inflight.msg.args.clone()),
+                msg_name: Some(&inflight.msg.name),
+                msg_args: Some(Cow::Borrowed(&inflight.msg.args)),
             });
         } else {
             fp.write(Resource::DeadLetters);
         }
     }
 
-    fn step_footprint(&self, state: &State, tid: crate::state::TaskId, fp: &mut Footprint) {
+    fn step_footprint<'a>(&'a self, state: &'a State, tid: TaskId, fp: &mut Footprint<'a>) {
         let task = state.task(tid);
-        let actor = fp.actor_label.clone();
         match &task.status {
             TaskStatus::Blocked(BlockReason::Locks(cells)) => {
-                for c in cells {
-                    fp.read(Resource::Lock(c.clone()));
-                    fp.write(Resource::Lock(c.clone()));
-                }
-                fp.emit(Emit::kind(EventMask::ACQUIRED, actor));
+                fp.lock(cells.iter().map(CellRef::from));
+                fp.emit_kind(EventMask::ACQUIRED);
                 return;
             }
             TaskStatus::Blocked(BlockReason::Reacquire) => {
                 let cells =
                     task.pending_reacquire.as_ref().map(|h| h.cells.as_slice()).unwrap_or(&[]);
-                for c in cells {
-                    fp.read(Resource::Lock(c.clone()));
-                    fp.write(Resource::Lock(c.clone()));
-                }
-                fp.emit(Emit::kind(EventMask::WAIT_FINISHED, actor));
+                fp.lock(cells.iter().map(CellRef::from));
+                fp.emit_kind(EventMask::WAIT_FINISHED);
                 return;
             }
             TaskStatus::Blocked(BlockReason::AwaitCond) => {
@@ -1104,13 +1249,9 @@ impl Interp {
                             self.globals_only_reads(init, fp);
                         }
                         if let Some(&init_id) = info.methods.get("init") {
-                            fp.emit(Emit {
-                                kind: EventMask::CALLED,
-                                label: actor.clone(),
-                                func: Some(self.compiled.func(init_id).qualified.clone()),
-                                msg_name: None,
-                                msg_args: None,
-                            });
+                            let func = &self.compiled.func(init_id).qualified;
+                            let label = fp.actor_label.map(Cow::Borrowed);
+                            fp.emit(Emit::call(EventMask::CALLED, label, func));
                         }
                     }
                     None => fp.unknown = true,
@@ -1122,54 +1263,52 @@ impl Interp {
             Instr::Print { value, .. } => {
                 self.expr_reads(state, frame, value, fp);
                 fp.write(Resource::Output);
-                fp.emit(Emit::kind(EventMask::PRINTED, actor));
+                fp.emit_kind(EventMask::PRINTED);
             }
             Instr::Para { tasks, .. } => {
                 if !tasks.is_empty() {
                     fp.write(Resource::TaskAlloc);
                     for (_, label) in tasks {
-                        fp.spawn_label(Some(label.clone()));
+                        fp.spawn_label(Some(Cow::Borrowed(label)));
                     }
                 }
             }
             Instr::ExcEnter { footprint, span } => {
                 match self.resolve_footprint(state, tid, footprint, *span) {
                     Ok(cells) => {
-                        for c in &cells {
-                            fp.read(Resource::Lock(c.clone()));
-                            fp.write(Resource::Lock(c.clone()));
-                        }
-                        if state.can_acquire(tid, &cells) {
-                            fp.emit(Emit::kind(EventMask::ACQUIRED, actor));
+                        fp.lock(cells.iter().copied());
+                        // `State::can_acquire` for borrowed cells: no
+                        // other task holds any of them.
+                        let free = state.locks.iter().all(|(cell, (owner, _))| {
+                            *owner == tid || !cells.contains(&CellRef::from(cell))
+                        });
+                        fp.emit_kind(if free {
+                            EventMask::ACQUIRED
                         } else {
-                            fp.emit(Emit::kind(EventMask::BLOCKED_ON_LOCKS, actor));
-                        }
+                            EventMask::BLOCKED_ON_LOCKS
+                        });
                     }
                     Err(_) => fp.unknown = true,
                 }
             }
             Instr::ExcExit { .. } => match task.held.last() {
                 Some(held) => {
-                    for c in &held.cells {
-                        fp.write(Resource::Lock(c.clone()));
-                    }
-                    fp.emit(Emit::kind(EventMask::RELEASED, actor));
+                    fp.unlock(&held.cells);
+                    fp.emit_kind(EventMask::RELEASED);
                 }
                 None => fp.unknown = true,
             },
             Instr::Wait { .. } => match task.held.last() {
                 Some(held) => {
-                    for c in &held.cells {
-                        fp.write(Resource::Lock(c.clone()));
-                    }
+                    fp.unlock(&held.cells);
                     fp.write(Resource::WaitSet);
-                    fp.emit(Emit::kind(EventMask::WAIT_START, actor));
+                    fp.emit_kind(EventMask::WAIT_START);
                 }
                 None => fp.unknown = true,
             },
             Instr::Notify { .. } => {
                 fp.write(Resource::WaitSet);
-                fp.emit(Emit::kind(EventMask::NOTIFIED, actor));
+                fp.emit_kind(EventMask::NOTIFIED);
             }
             Instr::Send { msg, to, .. } => {
                 self.expr_reads(state, frame, msg, fp);
@@ -1177,13 +1316,13 @@ impl Interp {
                 // The insert itself needs no resource; an unresolvable
                 // target may mean the send faults at runtime, so stay
                 // conservative then.
-                if !matches!(self.pure_value(state, frame, to), Some(Value::Obj(_))) {
+                if !matches!(self.pure_value(state, frame, to).as_deref(), Some(Value::Obj(_))) {
                     fp.unknown = true;
                 }
                 let (msg_name, msg_args) = self.message_shape(state, frame, msg);
                 fp.emit(Emit {
                     kind: EventMask::SENT,
-                    label: actor,
+                    label: fp.actor_label.map(Cow::Borrowed),
                     func: None,
                     msg_name,
                     msg_args,
@@ -1202,15 +1341,15 @@ impl Interp {
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors do_call's inputs
-    fn call_footprint(
-        &self,
-        state: &State,
-        frame: &Frame,
-        target: Option<&LValue>,
-        callee: &CalleeRef,
-        args: &[Expr],
+    fn call_footprint<'a>(
+        &'a self,
+        state: &'a State,
+        frame: &'a Frame,
+        target: Option<&'a LValue>,
+        callee: &'a CalleeRef,
+        args: &'a [Expr],
         detached: bool,
-        fp: &mut Footprint,
+        fp: &mut Footprint<'a>,
     ) {
         for a in args {
             self.expr_reads(state, frame, a, fp);
@@ -1236,9 +1375,9 @@ impl Interp {
             }
             CalleeRef::Method(base, method) => {
                 self.expr_reads(state, frame, base, fp);
-                match self.pure_value(state, frame, base) {
+                match self.pure_value(state, frame, base).as_deref() {
                     Some(Value::Obj(obj)) => {
-                        let class = &state.object(obj).class;
+                        let class = &state.object(*obj).class;
                         self.compiled.method(class, method)
                     }
                     _ => None,
@@ -1249,26 +1388,20 @@ impl Interp {
             fp.unknown = true; // unresolvable or erroneous call
             return;
         };
-        let qualified = self.compiled.func(func_id).qualified.clone();
-        if detached || self.compiled.func(func_id).is_receiver {
+        let info = self.compiled.func(func_id);
+        if detached || info.is_receiver {
             // The child task's label, mirroring do_call's choice.
             let child_label = match callee {
-                CalleeRef::Name(name) => Some(name.clone()),
+                CalleeRef::Name(name) => Some(Cow::Borrowed(name.as_str())),
                 CalleeRef::Method(base, method) => match &base.kind {
-                    ExprKind::Name(var) => Some(format!("{var}.{method}")),
-                    _ => match self.pure_value(state, frame, base) {
-                        Some(Value::Obj(obj)) => Some(format!("{obj}.{method}")),
+                    ExprKind::Name(var) => Some(Cow::Owned(format!("{var}.{method}"))),
+                    _ => match self.pure_value(state, frame, base).as_deref() {
+                        Some(Value::Obj(obj)) => Some(Cow::Owned(format!("{obj}.{method}"))),
                         _ => None,
                     },
                 },
             };
-            fp.emit(Emit {
-                kind: EventMask::CALLED,
-                label: child_label.clone(),
-                func: Some(qualified),
-                msg_name: None,
-                msg_args: None,
-            });
+            fp.emit(Emit::call(EventMask::CALLED, child_label.clone(), &info.qualified));
             fp.write(Resource::TaskAlloc);
             fp.spawn_label(child_label);
             // The call completes immediately in the caller with Unit.
@@ -1276,24 +1409,19 @@ impl Interp {
                 self.lvalue_writes(state, frame, t, fp);
             }
         } else {
-            fp.emit(Emit {
-                kind: EventMask::CALLED,
-                label: fp.actor_label.clone(),
-                func: Some(qualified),
-                msg_name: None,
-                msg_args: None,
-            });
+            let label = fp.actor_label.map(Cow::Borrowed);
+            fp.emit(Emit::call(EventMask::CALLED, label, &info.qualified));
         }
         // Non-detached calls push a frame (task-private); the target
         // write happens later, at the callee's RETURN.
     }
 
-    fn return_footprint(
-        &self,
-        state: &State,
-        task: &Task,
-        value: Option<&Expr>,
-        fp: &mut Footprint,
+    fn return_footprint<'a>(
+        &'a self,
+        state: &'a State,
+        task: &'a Task,
+        value: Option<&'a Expr>,
+        fp: &mut Footprint<'a>,
     ) {
         let Some(frame) = task.top_frame() else { return };
         if let Some(v) = value {
@@ -1304,26 +1432,20 @@ impl Interp {
         let depth = task.frames.len();
         let mut releases = false;
         for held in task.held.iter().filter(|h| h.frame_depth >= depth) {
-            for c in &held.cells {
-                fp.write(Resource::Lock(c.clone()));
-            }
+            fp.unlock(&held.cells);
             releases = true;
         }
         if releases {
-            fp.emit(Emit::kind(EventMask::RELEASED, fp.actor_label.clone()));
+            fp.emit_kind(EventMask::RELEASED);
         }
         let synthetic = frame.code != self.compiled.func(frame.func).code;
         if !synthetic {
-            fp.emit(Emit {
-                kind: EventMask::RETURNED,
-                label: fp.actor_label.clone(),
-                func: Some(self.compiled.func(frame.func).qualified.clone()),
-                msg_name: None,
-                msg_args: None,
-            });
+            let label = fp.actor_label.map(Cow::Borrowed);
+            let func = &self.compiled.func(frame.func).qualified;
+            fp.emit(Emit::call(EventMask::RETURNED, label, func));
         }
         if task.frames.len() == 1 {
-            fp.emit(Emit::kind(EventMask::FINISHED, fp.actor_label.clone()));
+            fp.emit_kind(EventMask::FINISHED);
             // The parent's join-counter decrement is parent-status
             // bookkeeping: two siblings' finishes commute and no other
             // task can observe the counter mid-flight.
@@ -1343,7 +1465,13 @@ impl Interp {
 
     /// Collect the shared cells an expression reads, resolving names
     /// exactly as `eval` will.
-    fn expr_reads(&self, state: &State, frame: &Frame, expr: &Expr, fp: &mut Footprint) {
+    fn expr_reads<'a>(
+        &'a self,
+        state: &'a State,
+        frame: &'a Frame,
+        expr: &'a Expr,
+        fp: &mut Footprint<'a>,
+    ) {
         match &expr.kind {
             ExprKind::Int(_)
             | ExprKind::Float(_)
@@ -1363,10 +1491,8 @@ impl Interp {
             }
             ExprKind::Field(base, field) => {
                 self.expr_reads(state, frame, base, fp);
-                match self.pure_value(state, frame, base) {
-                    Some(Value::Obj(obj)) => {
-                        fp.read(Resource::Cell(Cell::Field(obj, field.clone())));
-                    }
+                match self.pure_value(state, frame, base).as_deref() {
+                    Some(Value::Obj(obj)) => fp.read(Resource::Cell(CellRef::Field(*obj, field))),
                     Some(_) => {} // will fault at runtime
                     None => fp.unknown = true,
                 }
@@ -1385,78 +1511,103 @@ impl Interp {
     }
 
     /// Resolution of a bare-name read, mirroring `read_name`.
-    fn name_read(&self, state: &State, frame: &Frame, name: &str, fp: &mut Footprint) {
+    fn name_read<'a>(
+        &'a self,
+        state: &'a State,
+        frame: &'a Frame,
+        name: &'a str,
+        fp: &mut Footprint<'a>,
+    ) {
         if !frame.main_scope {
             if frame.locals.contains_key(name) {
                 return; // task-private
             }
             if let Some(obj) = frame.self_obj {
                 if state.object(obj).fields.contains_key(name) {
-                    fp.read(Resource::Cell(Cell::Field(obj, name.to_string())));
+                    fp.read(Resource::Cell(CellRef::Field(obj, name)));
                     return;
                 }
             }
         }
         // Global (or undefined, which faults identically regardless of
         // interleaving with steps that do not write it).
-        fp.read(Resource::Cell(Cell::Global(name.to_string())));
+        fp.read(Resource::Cell(CellRef::Global(name)));
     }
 
     /// Resolution of an lvalue write, mirroring `write_lvalue`.
-    fn lvalue_writes(&self, state: &State, frame: &Frame, target: &LValue, fp: &mut Footprint) {
+    fn lvalue_writes<'a>(
+        &'a self,
+        state: &'a State,
+        frame: &'a Frame,
+        target: &'a LValue,
+        fp: &mut Footprint<'a>,
+    ) {
         match target {
-            LValue::Name(name) => {
-                if frame.main_scope {
-                    fp.write(Resource::Cell(Cell::Global(name.clone())));
-                    return;
-                }
-                if frame.locals.contains_key(name) {
-                    return; // task-private
-                }
-                if let Some(obj) = frame.self_obj {
-                    if state.object(obj).fields.contains_key(name) {
-                        fp.write(Resource::Cell(Cell::Field(obj, name.clone())));
-                        return;
-                    }
-                }
-                if state.globals.contains_key(name) {
-                    fp.write(Resource::Cell(Cell::Global(name.clone())));
-                }
-                // Else: a fresh local — task-private.
-            }
-            LValue::Field(base, field) => {
-                self.expr_reads(state, frame, base, fp);
-                match self.pure_value(state, frame, base) {
-                    Some(Value::Obj(obj)) => {
-                        fp.write(Resource::Cell(Cell::Field(obj, field.clone())));
-                    }
-                    Some(_) => {}
-                    None => fp.unknown = true,
-                }
-            }
+            LValue::Name(name) => self.name_write(state, frame, name, fp),
+            LValue::Field(base, field) => self.field_write(state, frame, base, field, fp),
             LValue::Index(base, index) => {
                 self.expr_reads(state, frame, index, fp);
                 self.expr_reads(state, frame, base, fp);
                 // Read–modify–write of the containing place.
                 match &base.kind {
-                    ExprKind::Name(n) => {
-                        self.lvalue_writes(state, frame, &LValue::Name(n.clone()), fp)
-                    }
-                    ExprKind::Field(b, f) => {
-                        self.lvalue_writes(state, frame, &LValue::Field(b.clone(), f.clone()), fp)
-                    }
+                    ExprKind::Name(n) => self.name_write(state, frame, n, fp),
+                    ExprKind::Field(b, f) => self.field_write(state, frame, b, f, fp),
                     _ => fp.unknown = true,
                 }
             }
         }
     }
 
+    /// A write to a bare name, mirroring `write_lvalue`'s resolution.
+    fn name_write<'a>(
+        &'a self,
+        state: &'a State,
+        frame: &'a Frame,
+        name: &'a str,
+        fp: &mut Footprint<'a>,
+    ) {
+        if frame.main_scope {
+            fp.write(Resource::Cell(CellRef::Global(name)));
+            return;
+        }
+        if frame.locals.contains_key(name) {
+            return; // task-private
+        }
+        if let Some(obj) = frame.self_obj {
+            if state.object(obj).fields.contains_key(name) {
+                fp.write(Resource::Cell(CellRef::Field(obj, name)));
+                return;
+            }
+        }
+        if state.globals.contains_key(name) {
+            fp.write(Resource::Cell(CellRef::Global(name)));
+        }
+        // Else: a fresh local — task-private.
+    }
+
+    /// A write to `base.field`.
+    fn field_write<'a>(
+        &'a self,
+        state: &'a State,
+        frame: &'a Frame,
+        base: &'a Expr,
+        field: &'a str,
+        fp: &mut Footprint<'a>,
+    ) {
+        self.expr_reads(state, frame, base, fp);
+        match self.pure_value(state, frame, base).as_deref() {
+            Some(Value::Obj(obj)) => fp.write(Resource::Cell(CellRef::Field(*obj, field))),
+            Some(_) => {}
+            None => fp.unknown = true,
+        }
+    }
+
     /// `new C(...)` field initializers evaluate in a globals-only
     /// scope.
-    fn globals_only_reads(&self, expr: &Expr, fp: &mut Footprint) {
+    fn globals_only_reads<'a>(&'a self, expr: &'a Expr, fp: &mut Footprint<'a>) {
         match &expr.kind {
             ExprKind::Int(_) | ExprKind::Float(_) | ExprKind::Str(_) | ExprKind::Bool(_) => {}
-            ExprKind::Name(n) => fp.read(Resource::Cell(Cell::Global(n.clone()))),
+            ExprKind::Name(n) => fp.read(Resource::Cell(CellRef::Global(n))),
             ExprKind::List(items) => {
                 for i in items {
                     self.globals_only_reads(i, fp);
@@ -1480,60 +1631,62 @@ impl Interp {
     }
 
     /// The (name, payload) a `Send`'s message expression will carry,
-    /// as far as pure evaluation can tell.
-    fn message_shape(
-        &self,
-        state: &State,
-        frame: &Frame,
-        msg: &Expr,
-    ) -> (Option<String>, Option<Vec<Value>>) {
+    /// as far as pure evaluation can tell. A message literal's payload
+    /// is evaluated (and so owned); a stored message is borrowed.
+    fn message_shape<'a>(
+        &'a self,
+        state: &'a State,
+        frame: &'a Frame,
+        msg: &'a Expr,
+    ) -> (Option<&'a str>, Option<Cow<'a, [Value]>>) {
         match &msg.kind {
             ExprKind::Message { name, args } => {
-                let vals: Option<Vec<Value>> =
-                    args.iter().map(|a| self.pure_value(state, frame, a)).collect();
-                (Some(name.clone()), vals)
+                let vals: Option<Vec<Value>> = args
+                    .iter()
+                    .map(|a| self.pure_value(state, frame, a).map(Cow::into_owned))
+                    .collect();
+                (Some(name), vals.map(Cow::Owned))
             }
             _ => match self.pure_value(state, frame, msg) {
-                Some(Value::Message(m)) => (Some(m.name), Some(m.args)),
+                Some(Cow::Borrowed(Value::Message(m))) => {
+                    (Some(&m.name), Some(Cow::Borrowed(&m.args)))
+                }
+                // Only literals evaluate to owned values, and no
+                // literal is a message.
                 _ => (None, None),
             },
         }
     }
 
     /// Side-effect-free partial evaluator used to resolve receiver
-    /// objects. Returns `None` for anything it cannot (or need not)
-    /// evaluate — callers then mark the footprint unknown if an object
-    /// identity was required.
-    fn pure_value(&self, state: &State, frame: &Frame, expr: &Expr) -> Option<Value> {
+    /// objects and message payloads. A value stored in the state is
+    /// borrowed; a literal is built. Returns `None` for anything it
+    /// cannot (or need not) evaluate — callers then mark the footprint
+    /// unknown if an object identity was required.
+    fn pure_value<'a>(
+        &'a self,
+        state: &'a State,
+        frame: &'a Frame,
+        expr: &'a Expr,
+    ) -> Option<Cow<'a, Value>> {
         match &expr.kind {
-            ExprKind::Int(v) => Some(Value::Int(*v)),
-            ExprKind::Str(s) => Some(Value::Str(s.clone())),
-            ExprKind::Bool(b) => Some(Value::Bool(*b)),
-            ExprKind::SelfRef => frame.self_obj.map(Value::Obj),
-            ExprKind::Name(name) => {
-                if !frame.main_scope {
-                    if let Some(v) = frame.locals.get(name) {
-                        return Some(v.clone());
-                    }
-                    if let Some(obj) = frame.self_obj {
-                        if let Some(v) = state.object(obj).fields.get(name) {
-                            return Some(v.clone());
-                        }
-                    }
-                }
-                state.globals.get(name).cloned()
-            }
-            ExprKind::Field(base, field) => match self.pure_value(state, frame, base)? {
-                Value::Obj(obj) => state.object(obj).fields.get(field).cloned(),
+            ExprKind::Int(v) => Some(Cow::Owned(Value::Int(*v))),
+            ExprKind::Str(s) => Some(Cow::Owned(Value::Str(s.clone()))),
+            ExprKind::Bool(b) => Some(Cow::Owned(Value::Bool(*b))),
+            ExprKind::SelfRef => frame.self_obj.map(|obj| Cow::Owned(Value::Obj(obj))),
+            ExprKind::Name(name) => name_value(state, frame, name).map(Cow::Borrowed),
+            ExprKind::Field(base, field) => match *self.pure_value(state, frame, base)? {
+                Value::Obj(obj) => state.object(obj).fields.get(field).map(Cow::Borrowed),
                 _ => None,
             },
             ExprKind::Index(base, index) => {
-                let b = self.pure_value(state, frame, base)?;
-                let i = self.pure_value(state, frame, index)?;
-                match (b, i) {
-                    (Value::List(items), Value::Int(idx)) => {
-                        usize::try_from(idx).ok().and_then(|i| items.get(i).cloned())
-                    }
+                let i = match *self.pure_value(state, frame, index)? {
+                    Value::Int(i) => usize::try_from(i).ok()?,
+                    _ => return None,
+                };
+                match self.pure_value(state, frame, base)? {
+                    Cow::Borrowed(Value::List(items)) => items.get(i).map(Cow::Borrowed),
+                    Cow::Owned(Value::List(items)) => items.into_iter().nth(i).map(Cow::Owned),
                     _ => None,
                 }
             }
@@ -1546,7 +1699,9 @@ impl Interp {
     /// `fp` with the accesses the candidate task's held `EXC_ACC`
     /// locks protect removed — for the ample future-conflict test
     /// *only* (visibility and sleep-set independence keep the full
-    /// footprint).
+    /// footprint). The result keeps only what
+    /// [`Interp::future_conflicts`] reads: the surviving reads and
+    /// writes, filtered straight out of `fp`, and its unknown flag.
     ///
     /// While `task` holds the lock on a cell, no other task can
     /// acquire (or re-acquire after a `WAIT`) that lock before the
@@ -1558,49 +1713,40 @@ impl Interp {
     /// must take the (disabled) lock before touching the cell, and
     /// same-name accesses to *other* cells went through a different
     /// lock and never depended on this cell to begin with.
-    pub fn shield_footprint(&self, task: &Task, fp: &Footprint) -> Footprint {
-        let held = |c: &Cell| task.held.iter().any(|h| h.cells.contains(c));
-        fn name(c: &Cell) -> &str {
-            match c {
-                Cell::Global(n) => n.as_str(),
-                Cell::Field(_, n) => n.as_str(),
-            }
-        }
-        let keep = |r: &Resource| match r {
+    pub fn shield_footprint<'a>(&self, task: &Task, fp: &Footprint<'a>) -> Footprint<'a> {
+        let held =
+            |c: CellRef<'_>| task.held.iter().flat_map(|h| &h.cells).any(|h| CellRef::from(h) == c);
+        let keep = |r: &Resource<'_>| match *r {
             Resource::Lock(c) => !held(c),
-            Resource::Cell(c) => !(held(c) && self.summaries().lock_disciplined(name(c))),
+            Resource::Cell(c) => !(held(c) && self.summaries().lock_disciplined(c.name())),
             _ => true,
         };
-        let mut out = fp.clone();
-        out.reads.retain(&keep);
-        out.writes.retain(&keep);
-        out
+        Footprint {
+            reads: fp.reads.iter().copied().filter(keep).collect(),
+            writes: fp.writes.iter().copied().filter(keep).collect(),
+            unknown: fp.unknown,
+            ..Footprint::default()
+        }
     }
 
     /// Could deferring `fp` past *any* future behaviour of `other`
     /// create a dependency? Union of the static summaries of the
     /// task's stacked code units plus the locks it holds (or must
     /// re-acquire), which its future releases and re-acquisitions
-    /// touch.
-    pub fn future_conflicts(&self, other: &Task, fp: &Footprint) -> bool {
+    /// touch. Compares in place: nothing is allocated.
+    pub fn future_conflicts(&self, other: &Task, fp: &Footprint<'_>) -> bool {
         if fp.unknown {
             return true;
         }
-        let lock_dep = |fp: &Footprint, cell: &Cell| {
-            let lock = Resource::Lock(cell.clone());
+        let lock_dep = |cell: &Cell| {
+            let lock = Resource::Lock(cell.into());
             fp.writes.contains(&lock) || fp.reads.contains(&lock)
         };
-        for held in &other.held {
-            if held.cells.iter().any(|c| lock_dep(fp, c)) {
-                return true;
-            }
-        }
-        if let Some(pending) = &other.pending_reacquire {
-            if pending.cells.iter().any(|c| lock_dep(fp, c)) {
-                return true;
-            }
-        }
-        other.frames.iter().any(|f| fp.conflicts_with_static(self.summaries().at(f.code, f.pc)))
+        other.held.iter().chain(&other.pending_reacquire).any(|h| h.cells.iter().any(lock_dep))
+            || other
+                .frames
+                .iter()
+                .any(|f| fp.conflicts_with_static(self.summaries().at(f.code, f.pc)))
     }
 }
 
@@ -1640,9 +1786,9 @@ mod tests {
         assert_eq!(choices.len(), 2);
         let fp1 = i.choice_footprint(&state, &choices[0]);
         // PARA children of main inherit main scope: writes hit globals.
-        assert!(fp1.writes.contains(&Resource::Cell(Cell::Global("x".into()))));
+        assert!(fp1.writes.contains(&Resource::Cell(CellRef::Global("x"))));
         let fp2 = i.choice_footprint(&state, &choices[1]);
-        assert!(fp2.writes.contains(&Resource::Cell(Cell::Global("y".into()))));
+        assert!(fp2.writes.contains(&Resource::Cell(CellRef::Global("y"))));
     }
 
     #[test]
@@ -1657,7 +1803,7 @@ mod tests {
         // Step child 1 into f(): now at ExcEnter.
         i.apply(&mut state, &Choice::Step(TaskId(1))).unwrap();
         let fp = i.choice_footprint(&state, &Choice::Step(TaskId(1)));
-        let lock = Resource::Lock(Cell::Global("x".into()));
+        let lock = Resource::Lock(CellRef::Global("x"));
         assert!(fp.writes.contains(&lock), "{fp:?}");
         assert!(fp.emits.intersects(EventMask::ACQUIRED));
     }
@@ -1677,7 +1823,7 @@ mod tests {
         assert!(!fp.writes.iter().any(|r| matches!(r, Resource::MailboxTake(_))), "{fp:?}");
         assert!(fp.emits.intersects(EventMask::SENT));
         let sent = fp.emit_events.iter().find(|e| e.kind.intersects(EventMask::SENT)).unwrap();
-        assert_eq!(sent.msg_name.as_deref(), Some("h"));
+        assert_eq!(sent.msg_name, Some("h"));
         assert_eq!(sent.msg_args.as_deref(), Some(&[Value::Str("hi".into())][..]));
         assert_eq!(sent.label.as_deref(), Some("main"));
 
@@ -1717,7 +1863,7 @@ mod tests {
     #[test]
     fn conflict_matching_is_name_level() {
         let mut fp = Footprint::default();
-        fp.write(Resource::Cell(Cell::Global("x".into())));
+        fp.write(Resource::Cell(CellRef::Global("x")));
         let mut s = StaticSummary::default();
         s.reads.insert(StaticResource::Named("x".into()));
         assert!(fp.conflicts_with_static(&s));
@@ -1727,5 +1873,72 @@ mod tests {
         // Unknown on either side conflicts.
         let u = StaticSummary { unknown: true, ..StaticSummary::default() };
         assert!(fp.conflicts_with_static(&u));
+    }
+
+    #[test]
+    fn static_keys_order_like_static_resources() {
+        use StaticResource as S;
+        let all = [
+            S::Named("a".into()),
+            S::Named("b".into()),
+            S::LockNamed("a".into()),
+            S::LockNamed("b".into()),
+            S::AnyMailboxTake,
+            S::Output,
+            S::WaitSet,
+            S::TaskAlloc,
+            S::ObjAlloc,
+            S::DeadLetters,
+        ];
+        for a in &all {
+            for b in &all {
+                assert_eq!(a.cmp(b), a.static_key().cmp(&b.static_key()), "{a:?} vs {b:?}");
+            }
+        }
+        // Each concrete resource's key is the key of the static
+        // resource it falls under.
+        let under = [
+            (Resource::Cell(CellRef::Global("a")), S::Named("a".into())),
+            (Resource::Cell(CellRef::Field(ObjId(3), "b")), S::Named("b".into())),
+            (Resource::Lock(CellRef::Global("a")), S::LockNamed("a".into())),
+            (Resource::Lock(CellRef::Field(ObjId(3), "b")), S::LockNamed("b".into())),
+            (Resource::MailboxTake(ObjId(1)), S::AnyMailboxTake),
+            (Resource::Output, S::Output),
+            (Resource::WaitSet, S::WaitSet),
+            (Resource::TaskAlloc, S::TaskAlloc),
+            (Resource::ObjAlloc, S::ObjAlloc),
+            (Resource::DeadLetters, S::DeadLetters),
+        ];
+        for (r, s) in &under {
+            assert_eq!(r.static_key(), s.static_key(), "{r:?}");
+            assert!(holds(&BTreeSet::from([s.clone()]), *r), "{r:?}");
+        }
+    }
+
+    #[test]
+    fn resolved_footprints_keep_the_owned_order() {
+        let i = interp(
+            "g = 0\nCLASS Box\n    v = 0\n    w = 0\n    DEFINE bump(other)\n        EXC_ACC\n            v = v + 1\n            SELF.w = other.v\n            g = g + 1\n        END_EXC_ACC\n    ENDDEF\nENDCLASS\nb1 = new Box()\nb2 = new Box()\nb1.bump(b2)\n",
+        );
+        let mut state = i.initial_state();
+        for _ in 0..4 {
+            // g = 0; b1 = new Box(); b2 = new Box(); b1.bump(b2)
+            i.apply(&mut state, &Choice::Step(TaskId(0))).unwrap();
+        }
+        let Some(Instr::ExcEnter { footprint, span }) = i.current_instr(&state, TaskId(0)) else {
+            panic!("main is not at the EXC_ACC");
+        };
+        // `Var` resolves to a field of SELF or to a global (the local
+        // `other` is task-private), `SelfField` to SELF's field and
+        // `VarField` to the field of the object the variable holds.
+        let cells = i.resolve_footprint(&state, TaskId(0), footprint, *span).unwrap();
+        let expected = vec![
+            Cell::Global("g".into()),
+            Cell::Field(ObjId(0), "v".into()),
+            Cell::Field(ObjId(0), "w".into()),
+            Cell::Field(ObjId(1), "v".into()),
+        ];
+        assert_eq!(cells.iter().map(|c| c.to_cell()).collect::<Vec<_>>(), expected);
+        assert_eq!(cells, expected.iter().map(CellRef::from).collect::<Vec<_>>());
     }
 }

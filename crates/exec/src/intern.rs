@@ -892,7 +892,9 @@ impl StateSig {
 /// and ids are stable for the interner's lifetime.
 pub(crate) struct Interner {
     globals: LockFreePool<BTreeMap<String, Value>>,
-    objects: LockFreePool<Vec<Object>>,
+    /// Heaps as vectors of object handles: a heap differing from a
+    /// pooled one in one object shares every other object with it.
+    objects: LockFreePool<Vec<Arc<Object>>>,
     task: LockFreePool<Task>,
     task_lists: LockFreePool<[u32]>,
     locks: LockFreePool<BTreeMap<Cell, (TaskId, u32)>>,

@@ -8,6 +8,7 @@
 //! random runner and the explorer agree on the semantics.
 
 use crate::event::Event;
+use crate::footprint::CellRef;
 use crate::program::{ArmInfo, CalleeRef, Compiled, Instr};
 use crate::state::*;
 use crate::value::{MessageVal, ObjId, RuntimeError, Value};
@@ -267,7 +268,7 @@ impl Interp {
             }
             TaskStatus::Blocked(BlockReason::AwaitCond) => {
                 let (cond, span) = match self.current_instr(state, tid) {
-                    Some(Instr::Await { cond, span }) => (cond.clone(), *span),
+                    Some(Instr::Await { cond, span }) => (cond, *span),
                     other => {
                         return Err(RuntimeError::new(
                             format!("AwaitCond-blocked task not at an AWAIT: {other:?}"),
@@ -275,7 +276,7 @@ impl Interp {
                         ));
                     }
                 };
-                let v = self.eval(state, tid, &cond)?;
+                let v = self.eval(state, tid, cond)?;
                 let b = v.as_bool().map_err(|m| RuntimeError::new(m, span))?;
                 // Enabled only when the condition holds; a stale pick
                 // (e.g. from an arbitrary replay vector) leaves the
@@ -296,28 +297,29 @@ impl Interp {
         let Some(frame) = state.task(tid).top_frame() else {
             return Ok(());
         };
+        // The instruction is borrowed from the program, not the state,
+        // so the state stays free to change while it executes.
         let code = self.compiled.code(frame.code);
-        if frame.pc >= code.len() {
+        let Some(instr) = code.get(frame.pc) else {
             // Fell off the end of the body: implicit RETURN.
             return self.do_return(state, tid, Value::Unit, events);
-        }
-        let instr = code[frame.pc].clone();
+        };
 
         match instr {
             Instr::Assign { target, value, span } => {
-                let value = self.eval(state, tid, &value)?;
-                self.write_lvalue(state, tid, &target, value, span)?;
+                let value = self.eval(state, tid, value)?;
+                self.write_lvalue(state, tid, target, value, *span)?;
                 self.advance(state, tid);
             }
             Instr::CallAssign { target: _, callee, args, span } => {
-                self.do_call(state, tid, &callee, &args, span, CallMode::Normal, events)?;
+                self.do_call(state, tid, callee, args, *span, CallMode::Normal, events)?;
             }
             Instr::New { target, class, args, span } => {
-                self.do_new(state, tid, target.as_ref(), &class, &args, span, events)?;
+                self.do_new(state, tid, target.as_ref(), class, args, *span, events)?;
             }
             Instr::Jump { target } => {
                 // Normally skidded over; safe to execute directly.
-                state.task_mut(tid).frames.last_mut().expect("frame exists").pc = target;
+                state.task_mut(tid).frames.last_mut().expect("frame exists").pc = *target;
                 self.skid(state, tid);
             }
             Instr::ArmEnd { .. } => {
@@ -325,16 +327,16 @@ impl Interp {
                 self.skid(state, tid);
             }
             Instr::JumpIfFalse { cond, target, span } => {
-                let v = self.eval(state, tid, &cond)?;
-                let b = v.as_bool().map_err(|m| RuntimeError::new(m, span))?;
+                let v = self.eval(state, tid, cond)?;
+                let b = v.as_bool().map_err(|m| RuntimeError::new(m, *span))?;
                 let frame = state.task_mut(tid).frames.last_mut().expect("frame exists");
-                frame.pc = if b { frame.pc + 1 } else { target };
+                frame.pc = if b { frame.pc + 1 } else { *target };
                 self.skid(state, tid);
             }
             Instr::Print { value, newline, span: _ } => {
-                let v = self.eval(state, tid, &value)?;
+                let v = self.eval(state, tid, value)?;
                 let output = Arc::make_mut(&mut state.output);
-                if newline {
+                if *newline {
                     output.println(&v);
                 } else {
                     output.print(&v);
@@ -347,7 +349,7 @@ impl Interp {
                     self.advance(state, tid);
                 } else {
                     let n = tasks.len();
-                    for (code_id, label) in &tasks {
+                    for (code_id, label) in tasks {
                         let parent_frame = state.task(tid).top_frame().expect("frame exists");
                         let frame = Frame {
                             // Para task units get their own FuncInfo at
@@ -371,7 +373,11 @@ impl Interp {
                 }
             }
             Instr::ExcEnter { footprint, span } => {
-                let cells = self.resolve_footprint(state, tid, &footprint, span)?;
+                let cells: Vec<Cell> = self
+                    .resolve_footprint(state, tid, footprint, *span)?
+                    .into_iter()
+                    .map(CellRef::to_cell)
+                    .collect();
                 if state.can_acquire(tid, &cells) {
                     state.acquire(tid, &cells);
                     let depth = state.task(tid).frames.len();
@@ -387,19 +393,17 @@ impl Interp {
                 }
             }
             Instr::ExcExit { span } => {
-                let held =
-                    state.task_mut(tid).held.pop().ok_or_else(|| {
-                        RuntimeError::new("END_EXC_ACC with no held footprint", span)
-                    })?;
+                let held = state.task_mut(tid).held.pop().ok_or_else(|| {
+                    RuntimeError::new("END_EXC_ACC with no held footprint", *span)
+                })?;
                 state.release(tid, &held.cells);
                 events.push(Event::Released { task: tid, cells: held.cells });
                 self.advance(state, tid);
             }
             Instr::Wait { span } => {
-                let held =
-                    state.task_mut(tid).held.pop().ok_or_else(|| {
-                        RuntimeError::new("WAIT() outside of an EXC_ACC block", span)
-                    })?;
+                let held = state.task_mut(tid).held.pop().ok_or_else(|| {
+                    RuntimeError::new("WAIT() outside of an EXC_ACC block", *span)
+                })?;
                 state.release(tid, &held.cells);
                 let task = state.task_mut(tid);
                 task.pending_reacquire = Some(held);
@@ -420,8 +424,8 @@ impl Interp {
                 self.advance(state, tid);
             }
             Instr::Await { cond, span } => {
-                let v = self.eval(state, tid, &cond)?;
-                let b = v.as_bool().map_err(|m| RuntimeError::new(m, span))?;
+                let v = self.eval(state, tid, cond)?;
+                let b = v.as_bool().map_err(|m| RuntimeError::new(m, *span))?;
                 if b {
                     self.advance(state, tid);
                 } else {
@@ -431,21 +435,21 @@ impl Interp {
                 }
             }
             Instr::Send { msg, to, span } => {
-                let msg_val = match self.eval(state, tid, &msg)? {
+                let msg_val = match self.eval(state, tid, msg)? {
                     Value::Message(m) => m,
                     other => {
                         return Err(RuntimeError::new(
                             format!("Send expects a MESSAGE value, found {}", other.type_name()),
-                            span,
+                            *span,
                         ));
                     }
                 };
-                let to_obj = match self.eval(state, tid, &to)? {
+                let to_obj = match self.eval(state, tid, to)? {
                     Value::Obj(o) => o,
                     other => {
                         return Err(RuntimeError::new(
                             format!("Send target must be an object, found {}", other.type_name()),
-                            span,
+                            *span,
                         ));
                     }
                 };
@@ -461,11 +465,11 @@ impl Interp {
                 // scheduler must pick a Receive choice.
             }
             Instr::Spawn { callee, args, span } => {
-                self.do_call(state, tid, &callee, &args, span, CallMode::Detached, events)?;
+                self.do_call(state, tid, callee, args, *span, CallMode::Detached, events)?;
             }
             Instr::Return { value, span: _ } => {
                 let v = match value {
-                    Some(e) => self.eval(state, tid, &e)?,
+                    Some(e) => self.eval(state, tid, e)?,
                     None => Value::Unit,
                 };
                 self.do_return(state, tid, v, events)?;
@@ -482,7 +486,7 @@ impl Interp {
         idx: usize,
         events: &mut Vec<Event>,
     ) -> Result<(), RuntimeError> {
-        let Some(Instr::Receive { arms, span }) = self.current_instr(state, tid).cloned() else {
+        let Some(Instr::Receive { arms, span }) = self.current_instr(state, tid) else {
             return Err(RuntimeError::new(
                 "message delivered to a task not at a receive point",
                 Span::SYNTH,
@@ -503,7 +507,7 @@ impl Interp {
                             inflight.msg.args.len(),
                             params.len()
                         ),
-                        span,
+                        *span,
                     ));
                 }
                 let frame = state.task_mut(tid).frames.last_mut().expect("frame exists");
@@ -597,8 +601,8 @@ impl Interp {
                         ));
                     }
                 };
-                let class = state.object(obj).class.clone();
-                let id = self.compiled.method(&class, method).ok_or_else(|| {
+                let class = &state.object(obj).class;
+                let id = self.compiled.method(class, method).ok_or_else(|| {
                     RuntimeError::new(format!("class `{class}` has no method `{method}`"), span)
                 })?;
                 (id, Some(obj))
@@ -680,11 +684,10 @@ impl Interp {
         // Field initializers are call-free (validated); evaluate them
         // in a scope that only sees globals.
         let mut fields = BTreeMap::new();
-        let field_inits = class.fields.clone();
         let obj = ObjId(state.objects.len());
         Arc::make_mut(&mut state.objects)
-            .push(Object { class: class_name.to_string(), fields: BTreeMap::new() });
-        for (name, init) in &field_inits {
+            .push(Arc::new(Object { class: class_name.to_string(), fields: BTreeMap::new() }));
+        for (name, init) in &class.fields {
             let v = self.eval_in_scope(state, tid, init, EvalScope::GlobalsOnly)?;
             fields.insert(name.clone(), v);
         }
@@ -792,10 +795,9 @@ impl Interp {
         value: Value,
     ) -> Result<(), RuntimeError> {
         let frame = state.task(tid).top_frame().expect("caller frame exists");
-        let instr = self.compiled.code(frame.code)[frame.pc].clone();
-        match instr {
+        match &self.compiled.code(frame.code)[frame.pc] {
             Instr::CallAssign { target: Some(target), span, .. } => {
-                self.write_lvalue(state, tid, &target, value, span)?;
+                self.write_lvalue(state, tid, target, value, *span)?;
             }
             Instr::CallAssign { target: None, .. } | Instr::Spawn { .. } => {}
             other => {
@@ -929,13 +931,17 @@ impl Interp {
 
     // --- expression evaluation ---------------------------------------------
 
-    pub(crate) fn resolve_footprint(
+    /// The cells an `EXC_ACC` footprint locks for `tid` in `state`,
+    /// sorted and deduplicated, with names borrowed from the program.
+    /// The footprint planner reads them as they are; the interpreter
+    /// converts them to owned [`Cell`]s where it stores them.
+    pub(crate) fn resolve_footprint<'a>(
         &self,
-        state: &State,
+        state: &'a State,
         tid: TaskId,
-        footprint: &[FootRef],
+        footprint: &'a [FootRef],
         span: Span,
-    ) -> Result<Vec<Cell>, RuntimeError> {
+    ) -> Result<Vec<CellRef<'a>>, RuntimeError> {
         let frame = state.task(tid).top_frame().expect("frame exists");
         let mut cells = Vec::new();
         for fref in footprint {
@@ -946,12 +952,12 @@ impl Interp {
                     }
                     if let Some(obj) = frame.self_obj {
                         if state.object(obj).fields.contains_key(name) {
-                            cells.push(Cell::Field(obj, name.clone()));
+                            cells.push(CellRef::Field(obj, name));
                             continue;
                         }
                     }
                     if state.globals.contains_key(name) || frame.main_scope {
-                        cells.push(Cell::Global(name.clone()));
+                        cells.push(CellRef::Global(name));
                     }
                     // Undefined names contribute nothing; reading them
                     // later is a runtime error anyway.
@@ -960,37 +966,27 @@ impl Interp {
                     let obj = frame
                         .self_obj
                         .ok_or_else(|| RuntimeError::new("SELF used outside a method", span))?;
-                    cells.push(Cell::Field(obj, field.clone()));
+                    cells.push(CellRef::Field(obj, field));
                 }
                 FootRef::VarField(var, field) => {
-                    match self.read_name(state, tid, var) {
-                        Ok(Value::Obj(obj)) => cells.push(Cell::Field(obj, field.clone())),
-                        Ok(_) | Err(_) => {
-                            // Not an object (or undefined): the field
-                            // access itself will fault when executed.
-                        }
+                    // Not an object (or undefined): the field access
+                    // itself will fault when executed.
+                    if let Some(Value::Obj(obj)) = name_value(state, frame, var) {
+                        cells.push(CellRef::Field(*obj, field));
                     }
                 }
             }
         }
-        cells.sort();
+        cells.sort_unstable();
         cells.dedup();
         Ok(cells)
     }
 
     fn read_name(&self, state: &State, tid: TaskId, name: &str) -> Result<Value, String> {
         let frame = state.task(tid).top_frame().ok_or("task has no frame")?;
-        if !frame.main_scope {
-            if let Some(v) = frame.locals.get(name) {
-                return Ok(v.clone());
-            }
-            if let Some(obj) = frame.self_obj {
-                if let Some(v) = state.object(obj).fields.get(name) {
-                    return Ok(v.clone());
-                }
-            }
-        }
-        state.globals.get(name).cloned().ok_or_else(|| format!("undefined variable `{name}`"))
+        name_value(state, frame, name)
+            .cloned()
+            .ok_or_else(|| format!("undefined variable `{name}`"))
     }
 
     pub(crate) fn eval(
@@ -1187,6 +1183,24 @@ impl Interp {
             }
         }
     }
+}
+
+/// The value a bare name reads in `frame`: a local, then a field of
+/// the receiver (neither in main scope), then a global. `eval`, the
+/// `EXC_ACC` resolver and the footprints' pure evaluator all resolve
+/// names here.
+pub(crate) fn name_value<'a>(state: &'a State, frame: &'a Frame, name: &str) -> Option<&'a Value> {
+    if !frame.main_scope {
+        if let Some(v) = frame.locals.get(name) {
+            return Some(v);
+        }
+        if let Some(obj) = frame.self_obj {
+            if let Some(v) = state.object(obj).fields.get(name) {
+                return Some(v);
+            }
+        }
+    }
+    state.globals.get(name)
 }
 
 #[derive(Clone, Copy, PartialEq)]

@@ -8,14 +8,16 @@
 //!
 //! A state is copy-on-write. Each component (globals, heap, lock
 //! table, in-flight and dead-letter lists, output) sits behind an
-//! [`Arc`], and each task record behind its own, so cloning a state
-//! copies one vector of task handles and bumps reference counts. A
-//! write goes through [`Arc::make_mut`] ([`State::task_mut`],
-//! [`State::object_mut`], [`State::acquire`], [`State::add_inflight`]
-//! and the interpreter's direct writes), which copies a component
-//! only while another state or the interner's pools still share it.
-//! So a transition copies exactly the task and the components it
-//! writes, and everything else stays shared with its predecessor —
+//! [`Arc`], and each task record and each heap object behind its own,
+//! so cloning a state copies one vector of task handles and bumps
+//! reference counts. A write goes through [`Arc::make_mut`]
+//! ([`State::task_mut`], [`State::object_mut`], [`State::acquire`],
+//! [`State::add_inflight`] and the interpreter's direct writes), which
+//! copies a component only while another state or the interner's
+//! pools still share it; a field write copies the heap's vector of
+//! object handles and the one object written. So a transition copies
+//! exactly the task, objects and components it writes, and everything
+//! else stays shared with its predecessor —
 //! which is also what lets the interner find an untouched component
 //! by address instead of re-hashing it.
 //!
@@ -248,7 +250,9 @@ impl Output {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct State {
     pub globals: Arc<BTreeMap<String, Value>>,
-    pub objects: Arc<Vec<Object>>,
+    /// The heap, indexed by [`ObjId`]; each object is shared on its
+    /// own, so writing one field copies one object.
+    pub objects: Arc<Vec<Arc<Object>>>,
     /// Task records, indexed by [`TaskId`].
     pub tasks: Vec<Arc<Task>>,
     /// Cell → owning task. A task may lock the same cell from several
@@ -280,9 +284,10 @@ impl State {
         &self.objects[id.0]
     }
 
-    /// The object for writing: the heap is copied first while shared.
+    /// The object for writing: the heap's handle vector and then the
+    /// object are each copied first while shared.
     pub fn object_mut(&mut self, id: ObjId) -> &mut Object {
-        &mut Arc::make_mut(&mut self.objects)[id.0]
+        Arc::make_mut(&mut Arc::make_mut(&mut self.objects)[id.0])
     }
 
     /// Find a task by its display label.

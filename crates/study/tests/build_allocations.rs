@@ -1,14 +1,16 @@
 //! Allocation guard for cold graph builds.
 //!
-//! States are copy-on-write: a transition copies only the task and the
-//! components it writes, materializing a stored state hands out the
-//! interner's shared payloads, and a successor clone is a vector of
-//! handles. A layout that deep-copies states instead makes hundreds of
-//! heap allocations per stored state that carry no information, so
-//! allocations and bytes allocated per stored state are pinned here at
-//! no more than half of what the deep-copying layout made. Both are
-//! deterministic counts at one worker, where a wall clock is not. This
-//! file holds a single test: the counting allocator is process-wide.
+//! States are copy-on-write: a transition copies only the task, the
+//! heap objects and the components it writes, materializing a stored
+//! state hands out the interner's shared payloads, and a successor
+//! clone is a vector of handles. The expansion planner's footprints
+//! borrow their names from the state and the program and are computed
+//! once per choice of a planned state. Allocations and bytes allocated
+//! per stored state are pinned here, per graph, at most 5% above what
+//! that layout makes, so a change that brings back a deep copy or a
+//! per-comparison allocation fails here. Both are deterministic counts
+//! at one worker, where a wall clock is not. This file holds a single
+//! test: the counting allocator is process-wide.
 
 use concur_exec::explore::Limits;
 use concur_exec::{figures, EventPattern, Interp, QueryCache, Reduction, Session, StateCond};
@@ -68,13 +70,13 @@ fn alphabet(section: Section) -> (Vec<EventPattern>, Vec<StateCond>) {
     (patterns, conds)
 }
 
-/// One guarded build: its stored-state count and what the deep-copying
-/// state layout allocated per stored state for it.
+/// One guarded build: its stored-state count and the most it may
+/// allocate per stored state.
 struct Guard {
     name: &'static str,
     states: usize,
-    deep_copy_allocs_per_state: f64,
-    deep_copy_bytes_per_state: f64,
+    max_allocs_per_state: f64,
+    max_bytes_per_state: f64,
 }
 
 /// Build one graph at one worker from a fresh cache and return its
@@ -109,8 +111,8 @@ fn cold_builds_allocate_for_what_each_transition_writes() {
             Guard {
                 name: "shared-memory bridge",
                 states: 2_576,
-                deep_copy_allocs_per_state: 174.2,
-                deep_copy_bytes_per_state: 22_288.0,
+                max_allocs_per_state: 54.0,
+                max_bytes_per_state: 8_500.0,
             },
             shared,
             BANK_REDUCTION,
@@ -120,8 +122,8 @@ fn cold_builds_allocate_for_what_each_transition_writes() {
             Guard {
                 name: "message-passing bridge",
                 states: 69_676,
-                deep_copy_allocs_per_state: 414.5,
-                deep_copy_bytes_per_state: 65_733.0,
+                max_allocs_per_state: 108.0,
+                max_bytes_per_state: 17_000.0,
             },
             message,
             BANK_REDUCTION,
@@ -131,8 +133,8 @@ fn cold_builds_allocate_for_what_each_transition_writes() {
             Guard {
                 name: "dining(8)",
                 states: 21_159,
-                deep_copy_allocs_per_state: 357.0,
-                deep_copy_bytes_per_state: 58_611.0,
+                max_allocs_per_state: 61.0,
+                max_bytes_per_state: 10_300.0,
             },
             &dining,
             Reduction::FULL,
@@ -152,16 +154,16 @@ fn cold_builds_allocate_for_what_each_transition_writes() {
             guard.name,
             bytes_per_state / 1024.0,
         );
-        if allocs_per_state > guard.deep_copy_allocs_per_state / 2.0 {
+        if allocs_per_state > guard.max_allocs_per_state {
             failures.push(format!(
-                "{}: {allocs_per_state:.1} allocations per state, over half of {}",
-                guard.name, guard.deep_copy_allocs_per_state
+                "{}: {allocs_per_state:.1} allocations per state, over {}",
+                guard.name, guard.max_allocs_per_state
             ));
         }
-        if bytes_per_state > guard.deep_copy_bytes_per_state / 2.0 {
+        if bytes_per_state > guard.max_bytes_per_state {
             failures.push(format!(
-                "{}: {bytes_per_state:.0} bytes per state, over half of {}",
-                guard.name, guard.deep_copy_bytes_per_state
+                "{}: {bytes_per_state:.0} bytes per state, over {}",
+                guard.name, guard.max_bytes_per_state
             ));
         }
     }
