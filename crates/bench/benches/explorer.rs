@@ -16,19 +16,18 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 fn fmt_stats(stats: &Stats) -> String {
     format!(
-        "{} states, {} transitions, {} ample / {} pruned, peak stack {} B, {:?}{}",
+        "{} states, {} transitions, {} ample / {} pruned, {:?}{}",
         stats.states_visited,
         stats.transitions,
         stats.por_ample_states,
         stats.por_pruned_choices,
-        stats.peak_stack_bytes,
         stats.wall,
         if stats.truncated { " (TRUNCATED)" } else { "" },
     )
 }
 
-/// Run the acceptance programs through both explorers once and print
-/// the reduction. Asserts the documented floors so a regression in
+/// Explore the acceptance programs once with and once without POR and
+/// print the reduction. Asserts the documented floors so a regression in
 /// the reduction machinery fails the bench run loudly.
 fn report_por_reduction() {
     let limits = Limits { max_states: 2_000_000, max_depth: 50_000, max_setup_states: 4096 };

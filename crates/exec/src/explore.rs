@@ -1,48 +1,53 @@
 //! Exhaustive interleaving exploration (a small explicit-state model
-//! checker).
+//! checker): the query vocabulary and the expansion planner.
 //!
 //! The paper's figures describe programs by their *set of possible
 //! outputs* ("possibility 1: hello world / possibility 2: world
 //! hello") and its Test-1 questions ask whether a scenario *could*
 //! happen from a given situation. Both are reachability questions over
-//! the interleaving space; this module answers them by depth-first
-//! search over [`Interp::choices`]/[`Interp::apply`].
+//! the interleaving space, and one engine answers them: the
+//! level-synchronized graph builder ([`crate::graph`]), reached through
+//! [`crate::session::Session`] or through [`Explorer`], a session that
+//! stores nothing. This module holds what every query shares (bounds,
+//! the reduction stack, answers and statistics) and the planner that
+//! decides how the builder expands each node.
 //!
 //! Two optimizations keep the search tractable:
 //!
-//! * **State interning** (the private `intern` module): DFS nodes hold
-//!   a `StateSig` (eight words) instead of a full [`State`], and the
-//!   visited set stores exact `(StateSig, progress)` pairs — no
-//!   reliance on 64-bit state hashes being collision-free.
+//! * **State interning** (the private `intern` module): nodes hold a
+//!   `StateSig` (eight words) instead of a full [`State`], and the
+//!   visited set stores exact signatures — no reliance on 64-bit state
+//!   hashes being collision-free.
 //! * **Partial-order reduction** ([`crate::footprint`]): at a state
 //!   where one task's enabled transitions provably commute with
 //!   everything every other live task can still do — and are invisible
 //!   to the active query — only that task's transitions are expanded
 //!   (an *ample set*). A cycle proviso (every ample successor
 //!   unvisited) prevents the ignoring problem; any unknown footprint
-//!   falls back to full expansion. Setup-state discovery
-//!   ([`Explorer::reachable_states`]) always runs unreduced, because
-//!   its callback inspects arbitrary [`StateCond`]s that POR's
-//!   commutation argument does not protect.
+//!   falls back to full expansion.
+//!
+//! The reference the builder is tested against shares none of this
+//! code: [`crate::oracle`] searches full states, unreduced.
 
 use crate::event::{Event, EventPattern, StateCond};
 use crate::footprint::Footprint;
 use crate::intern::{canonicalize_live, FxHashMap, FxHashSet, Interner, StateSig};
-use crate::interp::{Choice, Interp, Outcome};
+use crate::interp::{Choice, Interp};
+use crate::session::Session;
 use crate::state::{State, TaskId, TaskStatus};
 use crate::value::RuntimeError;
 use std::cell::OnceCell;
 use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Exploration bounds. Exploration is exact when neither bound is hit;
 /// results report whether truncation occurred.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Limits {
-    /// Maximum distinct (state, progress) nodes to visit.
+    /// Maximum distinct states a graph build stores.
     pub max_states: usize,
-    /// Maximum path depth in atomic steps.
+    /// Maximum path depth in stored states.
     pub max_depth: usize,
     /// Maximum setup states examined by [`Explorer::can_happen`].
     pub max_setup_states: usize,
@@ -61,7 +66,7 @@ impl Default for Limits {
 /// `can_happen`, `admits_trace`):
 ///
 /// * **`por`** — ample-set partial-order reduction with corridor
-///   compression (see `Explorer::try_ample`). Prunes commuting
+///   compression (see the planner's `try_ample`). Prunes commuting
 ///   *interleavings* of invisible transitions.
 /// * **`symmetry`** — orbit canonicalization for `PARA SYMMETRIC`
 ///   blocks (see [`crate::intern::canonicalize_symmetry`]): every
@@ -103,7 +108,7 @@ impl Reduction {
 }
 
 /// Maximum hops folded into one corridor-compressed edge (see
-/// [`Explorer::compress_corridor`]). Bounds the work any single edge
+/// `Planner::compress_corridor`). Bounds the work any single edge
 /// can do on an infinite-state program; real corridors (drain loops,
 /// post-branching wind-downs) are far shorter, and a longer one just
 /// continues from the edge's end node.
@@ -113,12 +118,11 @@ const CORRIDOR_MAX: usize = 256;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Stats {
     pub states_visited: usize,
-    /// Edges that reached an already-visited `(state, progress)` node
-    /// (the visited-set hit count). For a fixed program explored
-    /// without POR, `states_visited + states_deduped` equals the
-    /// transition count plus the root count — conserved across any
-    /// exploration order, so the DFS and a graph build at any worker
-    /// count agree on it.
+    /// Edges that reached an already-stored state (the visited-set hit
+    /// count). For a fixed program explored without POR,
+    /// `states_visited + states_deduped` equals the transition count
+    /// plus the root count — conserved across any exploration order, so
+    /// graph builds agree on it at every worker count.
     pub states_deduped: usize,
     pub transitions: usize,
     /// Whether any bound was hit (results are then lower bounds).
@@ -138,20 +142,14 @@ pub struct Stats {
     /// sleep set (each, like a POR-pruned choice, cuts a whole
     /// subtree of interleavings). Zero when the sleep layer is off.
     pub sleep_pruned: usize,
-    /// Deepest DFS stack seen, in nodes.
-    pub peak_stack_depth: usize,
-    /// Estimated peak DFS stack footprint, in bytes (node headers +
-    /// choice/event/successor buffers; excludes the shared intern
-    /// pools).
-    pub peak_stack_bytes: usize,
     /// Wall-clock time of the exploration.
     pub wall: Duration,
     /// Queries served from a memoized state graph (see
-    /// [`crate::session::Session`]). Always zero for a direct
-    /// exploration — the explorer itself never consults the cache.
+    /// [`crate::session::Session`]). Always zero for an [`Explorer`],
+    /// which stores nothing.
     pub cache_hits: usize,
-    /// Queries that had to build (or rebuild) their state graph.
-    /// Direct explorations also leave this zero.
+    /// Queries that had to build (or rebuild) their state graph: every
+    /// [`Explorer`] query does.
     pub cache_misses: usize,
     /// Time spent materializing the state graph this answer was read
     /// from. On a cache hit this reports the *original* build cost —
@@ -178,13 +176,12 @@ pub struct Stats {
     pub probe_len_max: usize,
     /// Insert CAS attempts that lost to a concurrent insert in the
     /// interner's lock-free tables. Only a graph build on several
-    /// workers can race; zero for the DFS and one-worker builds.
+    /// workers can race; zero for one-worker builds.
     pub claim_cas_retries: usize,
     /// Slot bytes reserved in the interner's payload arenas (summed;
     /// payload heap behind the slots — strings, maps — is not
-    /// counted). These three counters read the interner alone, for the
-    /// DFS and a graph build alike: the visited set (`Visited`) is an
-    /// ordinary map outside them.
+    /// counted). These three counters read the interner alone: the
+    /// visited set (`Visited`) is an ordinary map outside them.
     pub arena_bytes: usize,
 }
 
@@ -283,10 +280,6 @@ impl Answer {
     }
 }
 
-/// Callback signature for [`Explorer`]'s DFS: (state, edge events,
-/// enabled choices, query progress) → what to do next.
-type VisitFn<'f> = &'f mut dyn FnMut(&State, &[Event], &[Choice], usize) -> Visit;
-
 /// What the active search can observe; transitions that could affect
 /// any of it are *visible* and are never pruned into an ample set.
 #[derive(Clone, Copy)]
@@ -296,11 +289,12 @@ pub(crate) struct Visibility<'v> {
     /// (task label, function and message name/payload included — not
     /// just the event kind).
     pub(crate) patterns: &'v [EventPattern],
-    /// State conditions the visit callback evaluates.
+    /// State conditions the query evaluates.
     pub(crate) conds: &'v [StateCond],
 }
 
 impl Visibility<'_> {
+    #[cfg(test)]
     pub(crate) const NONE: Visibility<'static> = Visibility { patterns: &[], conds: &[] };
 
     /// Whether a footprint is fully resolved and invisible to the
@@ -339,12 +333,13 @@ impl<'s> ChoiceFootprints<'s> {
 }
 
 /// A precomputed successor edge: the interned signature of the state
-/// it reaches, the events emitted along the way (one step for an
-/// ample edge, possibly many for a corridor-compressed one), and the
-/// choice indices taken — one entry per atomic step, each an index
-/// into [`Interp::choices`] at that hop, so concatenating them along
-/// a path yields a decision vector [`crate::schedule::ReplayScheduler`]
-/// can replay.
+/// it reaches, the events emitted along the way (one step, or many
+/// for a corridor-compressed edge), and the choice indices taken — one
+/// entry per atomic step, each an index into the *unfiltered*
+/// [`Interp::choices`] list at that hop, so concatenating them along a
+/// path yields a decision vector [`crate::schedule::ReplayScheduler`]
+/// can replay and [`crate::graph::StateGraph::from_bytes`] can re-derive
+/// without any sleep context.
 pub(crate) type Succ = (StateSig, Vec<Event>, Vec<usize>);
 
 /// A node's sleep set: a bitmask over [`TaskId`]s (bit `i` set means
@@ -404,22 +399,14 @@ fn task_run(choices: &[Choice], task: TaskId) -> std::ops::Range<usize> {
         ..choices.partition_point(|c| choice_task(c) <= task)
 }
 
-/// How a node's successors are produced. The `sleeps` vectors run
-/// parallel to `choices`/`succs` and carry each child's sleep set; an
-/// empty vector means all-zero (the common case when the sleep layer
-/// is off — no allocation).
-pub(crate) enum Expansion {
-    /// All enabled choices (minus any slept away); each is applied
-    /// lazily (the parent state is re-materialized from its signature
-    /// per child). When the sleep layer filtered the list, `origin`
-    /// maps each position back to its index in the state's *unfiltered*
-    /// choice list — replay picks must be unfiltered indexes, because
-    /// [`crate::graph::StateGraph::from_bytes`] re-derives choices
-    /// without any sleep context. `None` means identity.
-    Full { choices: Vec<Choice>, sleeps: Vec<SleepSet>, origin: Option<Vec<usize>>, next: usize },
-    /// An ample subset, already applied during selection (the cycle
-    /// proviso needed the successor signatures anyway).
-    Ample { succs: Vec<Succ>, sleeps: Vec<SleepSet>, next: usize },
+/// A planned node's successors, applied. `sleeps` runs parallel to
+/// `succs` and carries each child's sleep set; an empty vector means
+/// all-zero (the common case when the sleep layer is off — no
+/// allocation).
+#[derive(Default)]
+pub(crate) struct Expansion {
+    pub(crate) succs: Vec<Succ>,
+    pub(crate) sleeps: Vec<SleepSet>,
 }
 
 /// An accepted ample expansion: the applied successors, the successor
@@ -433,39 +420,32 @@ pub(crate) type AmpleOut = (Vec<Succ>, Vec<State>, Vec<SleepSet>, usize);
 /// Ends a key's chain of admissions in [`Visited`].
 const LAST: u32 = u32::MAX;
 
-/// The visited set of both exploration drivers: `(state, progress)`
-/// nodes under the sleep-aware *superset rule*. An arrival is covered
-/// when an admission of its key recorded a sleep set that is a subset
-/// of the arrival's, since that visit explored at least everything
-/// this one would. An arrival nothing covers is admitted, so a key may
-/// be admitted several times, under incomparable sleep sets. With the
-/// sleep layer off every set is empty and the rule is plain
-/// membership.
+/// The graph builder's visited set: states under the sleep-aware
+/// *superset rule*. An arrival is covered when an admission of its
+/// state recorded a sleep set that is a subset of the arrival's, since
+/// that visit explored at least everything this one would. An arrival
+/// nothing covers is admitted, so a state may be admitted several
+/// times, under incomparable sleep sets. With the sleep layer off
+/// every set is empty and the rule is plain membership.
 ///
-/// Admissions are numbered from 0 in order, and the graph builder's
-/// node ids are its admission indexes (it always uses progress 0). The
-/// map sends a key to its first admission, with progress stored as a
-/// `u32`; each admission's sleep set and the next admission of the
-/// same key live in side vectors, so a bucket holds only a key and an
+/// Admissions are numbered from 0 in order, and they are the builder's
+/// node ids. The map sends a signature to its first admission; each
+/// admission's sleep set and the next admission of the same signature
+/// live in side vectors, so a bucket holds only a signature and an
 /// index.
 #[derive(Default)]
 pub(crate) struct Visited {
-    first: FxHashMap<(StateSig, u32), u32>,
+    first: FxHashMap<StateSig, u32>,
     sleeps: Vec<SleepSet>,
-    /// The next admission of the same key, or [`LAST`].
+    /// The next admission of the same signature, or [`LAST`].
     next: Vec<u32>,
 }
 
 impl Visited {
-    /// The map's form of a `(state, progress)` key.
-    fn key((sig, progress): (StateSig, usize)) -> (StateSig, u32) {
-        (sig, u32::try_from(progress).expect("query progress fits u32"))
-    }
-
-    /// The earliest admission of `key` whose sleep set is a subset of
+    /// The earliest admission of `sig` whose sleep set is a subset of
     /// `sleep`, if any.
-    pub(crate) fn covering(&self, key: (StateSig, usize), sleep: SleepSet) -> Option<u32> {
-        let mut at = *self.first.get(&Self::key(key))?;
+    pub(crate) fn covering(&self, sig: StateSig, sleep: SleepSet) -> Option<u32> {
+        let mut at = *self.first.get(&sig)?;
         while self.sleeps[at as usize] & !sleep != 0 {
             at = self.next[at as usize];
             if at == LAST {
@@ -475,13 +455,13 @@ impl Visited {
         Some(at)
     }
 
-    /// Admit `key` under `sleep`, which no admission covers, and
+    /// Admit `sig` under `sleep`, which no admission covers, and
     /// return the admission's index.
-    pub(crate) fn admit(&mut self, key: (StateSig, usize), sleep: SleepSet) -> u32 {
+    pub(crate) fn admit(&mut self, sig: StateSig, sleep: SleepSet) -> u32 {
         let id = u32::try_from(self.sleeps.len()).expect("admission indexes fit u32");
         self.sleeps.push(sleep);
         self.next.push(LAST);
-        match self.first.entry(Self::key(key)) {
+        match self.first.entry(sig) {
             Entry::Vacant(slot) => {
                 slot.insert(id);
             }
@@ -496,554 +476,59 @@ impl Visited {
         id
     }
 
-    /// Whether `key` was admitted under any sleep set: the cycle
+    /// Whether `sig` was admitted under any sleep set: the cycle
     /// proviso's notion of visited.
-    pub(crate) fn contains(&self, key: (StateSig, usize)) -> bool {
-        self.first.contains_key(&Self::key(key))
+    pub(crate) fn contains(&self, sig: StateSig) -> bool {
+        self.first.contains_key(&sig)
     }
 }
 
-/// What the expansion planner reads from an exploration's storage:
-/// the interner, and the visited set as of planning time. The DFS
-/// passes its live set, the graph builder the set as the previous
-/// level left it. Both drivers plan through the same code against the
-/// same membership rule, which is what lets the DFS serve as the
-/// builder's reference.
+/// The expansion planner: how the graph builder expands one node. It
+/// reads the interner and the visited set as the previous level left
+/// it, so a node's plan depends only on its state, the reduction
+/// stack, the visibility and that snapshot — never on which worker
+/// asked, or when.
 #[derive(Clone, Copy)]
-pub(crate) struct ExploreCtx<'a> {
+pub(crate) struct Planner<'a> {
+    pub(crate) interp: &'a Interp,
+    pub(crate) reduction: Reduction,
+    pub(crate) visibility: Visibility<'a>,
     pub(crate) pools: &'a Interner,
     pub(crate) visited: &'a Visited,
 }
 
-/// One DFS node. `progress` is the query-match index (always 0 for
-/// plain exploration). No full state is stored — only the signature.
-struct Node {
-    sig: StateSig,
-    progress: usize,
-    /// Events of the edge that reached this node (empty for roots).
-    edge_events: Vec<Event>,
-    expansion: Expansion,
-}
-
-impl Node {
-    /// Rough retained size, for the peak-stack-bytes statistic.
-    fn bytes(&self) -> usize {
-        let heap = match &self.expansion {
-            Expansion::Full { choices, .. } => choices.capacity() * std::mem::size_of::<Choice>(),
-            Expansion::Ample { succs, .. } => {
-                succs.capacity() * std::mem::size_of::<Succ>()
-                    + succs
-                        .iter()
-                        .map(|(_, ev, picks)| {
-                            ev.capacity() * std::mem::size_of::<Event>()
-                                + picks.capacity() * std::mem::size_of::<usize>()
-                        })
-                        .sum::<usize>()
-            }
-        };
-        std::mem::size_of::<Node>()
-            + heap
-            + self.edge_events.capacity() * std::mem::size_of::<Event>()
-    }
-}
-
-enum StepAction {
-    Pop,
-    /// Apply `choice` to the parent (full expansion).
-    Apply {
-        choice: Choice,
-        parent_sig: StateSig,
-        progress: usize,
-        sleep: SleepSet,
-    },
-    /// Enter a successor precomputed by ample selection.
-    Cached {
-        sig: StateSig,
-        events: Vec<Event>,
-        progress: usize,
-        sleep: SleepSet,
-    },
-}
-
-/// What the visit callback wants the search to do.
-#[derive(PartialEq)]
-pub enum Visit {
-    Continue,
-    /// Record nothing further below this node (its subtree is not
-    /// explored), but keep searching elsewhere.
-    Prune,
-    Stop,
-}
-
-/// The explorer: a depth-first search over an [`Interp`] that runs on
-/// the calling thread and memoizes nothing.
-///
-/// It is also the reference the graph builder behind
-/// [`crate::session::Session`] is tested against; the two share the
-/// expansion planner (`plan_expansion`) and differ in
-/// traversal order and storage.
-pub struct Explorer<'i> {
-    pub interp: &'i Interp,
-    pub limits: Limits,
-    /// The reduction stack applied where sound (terminal enumeration
-    /// and event-pattern queries). Setup discovery is always
-    /// unreduced — bar the visibility-protected POR described on
-    /// [`Explorer::can_happen`] — regardless of these flags.
-    pub reduction: Reduction,
-}
-
-impl<'i> Explorer<'i> {
-    pub fn new(interp: &'i Interp) -> Self {
-        Explorer::with_limits(interp, Limits::default())
-    }
-
-    pub fn with_limits(interp: &'i Interp, limits: Limits) -> Self {
-        Explorer { interp, limits, reduction: Reduction::default() }
-    }
-
-    /// The same explorer with partial-order reduction disabled.
-    /// The differential test harness compares the two; it is also the
-    /// honest baseline for benchmarks. (Symmetry and sleep keep their
-    /// current settings; use [`Explorer::with_reduction`] +
-    /// [`Reduction::NONE`] for a fully unreduced search.)
-    pub fn without_por(mut self) -> Self {
-        self.reduction.por = false;
-        self
-    }
-
-    /// The same explorer with an explicit reduction stack, overriding
-    /// the default.
-    pub fn with_reduction(mut self, reduction: Reduction) -> Self {
-        self.reduction = reduction;
-        self
-    }
-
-    /// Does nothing: the DFS always runs on the calling thread. Graph
-    /// builds take their worker count from
-    /// [`crate::session::Session::with_threads`].
-    #[deprecated(note = "the DFS is serial; set graph-build workers with `Session::with_threads`")]
-    pub fn with_threads(self, _threads: usize) -> Self {
-        self
-    }
-
-    /// Enumerate every reachable terminal state (distinct outputs +
-    /// outcome kinds). This regenerates the figures' "possibility"
-    /// lists exactly.
-    ///
-    /// Runs with POR (unless disabled): ample sets are persistent, so
-    /// every state with no enabled transitions — every terminal — is
-    /// still reached.
-    pub fn terminals(&self) -> Result<TerminalSet, RuntimeError> {
-        let begin = Instant::now();
-        let mut terminals = BTreeSet::new();
-        let mut stats = Stats::default();
-        let pools = Interner::new();
-        self.dfs(
-            self.interp.initial_state(),
-            None,
-            self.reduction,
-            Visibility::NONE,
-            &pools,
-            &mut Visited::default(),
-            &mut stats,
-            &mut |state, _events, choices, _progress| {
-                if choices.is_empty() {
-                    let outcome = match self.interp.classify_stuck(state) {
-                        Outcome::AllDone => TerminalKind::AllDone,
-                        Outcome::Quiescent => TerminalKind::Quiescent,
-                        _ => TerminalKind::Deadlock,
-                    };
-                    terminals.insert(Terminal { output: state.output.normalized(), outcome });
-                }
-                Visit::Continue
-            },
-        )?;
-        stats.note_contention(pools.contention());
-        stats.wall = begin.elapsed();
-        Ok(TerminalSet { terminals, stats })
-    }
-
-    /// Collect up to `cap` distinct reachable states satisfying all of
-    /// `setup`. With `frontier_only`, exploration stops *below* each
-    /// matching state: for "could X happen after a setup state?"
-    /// queries this loses nothing, because a scenario reachable from a
-    /// deeper setup state is also reachable (as a subsequence) from
-    /// the setup state above it.
-    ///
-    /// Always unreduced: callers get the literal set of distinct
-    /// condition-satisfying states, including ones that only occur in
-    /// interleavings an ample set would collapse.
-    pub fn reachable_states(
-        &self,
-        setup: &[StateCond],
-        cap: usize,
-        frontier_only: bool,
-    ) -> Result<(Vec<State>, Stats), RuntimeError> {
-        self.reachable_states_inner(setup, cap, frontier_only, Reduction::NONE, Visibility::NONE)
-    }
-
-    /// Setup-state discovery for [`Explorer::can_happen`]: like
-    /// [`Explorer::reachable_states`] with `frontier_only`, but with
-    /// POR enabled under a visibility that protects both the setup
-    /// conditions and the scenario's event kinds. Sound for
-    /// `can_happen`'s *existential* use: for every full-graph run that
-    /// reaches a setup state and then realizes the scenario, the
-    /// reduced graph contains a run with the same (setup-truth ∪
-    /// scenario-event) projection, so some collected frontier state
-    /// still has the scenario realizable in its continuation. The
-    /// literal set of frontier states may differ from the unreduced
-    /// one — which is why this is not the public API.
-    fn setup_frontier(
-        &self,
-        setup: &[StateCond],
-        query: &[EventPattern],
-        cap: usize,
-    ) -> Result<(Vec<State>, Stats), RuntimeError> {
-        let visibility = Visibility { patterns: query, conds: setup };
-        let reduction = Reduction { por: self.reduction.por, symmetry: false, sleep: false };
-        self.reachable_states_inner(setup, cap, true, reduction, visibility)
-    }
-
-    fn reachable_states_inner(
-        &self,
-        setup: &[StateCond],
-        cap: usize,
-        frontier_only: bool,
-        reduction: Reduction,
-        visibility: Visibility<'_>,
-    ) -> Result<(Vec<State>, Stats), RuntimeError> {
-        let begin = Instant::now();
-        let mut found: Vec<State> = Vec::new();
-        let mut stats = Stats::default();
-        let pools = Interner::new();
-        let funcs = &self.interp.compiled.funcs;
-        self.dfs(
-            self.interp.initial_state(),
-            None,
-            reduction,
-            visibility,
-            &pools,
-            &mut Visited::default(),
-            &mut stats,
-            &mut |state, _events, _choices, _progress| {
-                if setup.iter().all(|c| c.holds(state, funcs)) {
-                    found.push(state.clone());
-                    if found.len() >= cap {
-                        return Visit::Stop;
-                    }
-                    if frontier_only {
-                        return Visit::Prune;
-                    }
-                }
-                Visit::Continue
-            },
-        )?;
-        if found.len() >= cap {
-            stats.truncated = true;
-        }
-        stats.note_contention(pools.contention());
-        stats.wall = begin.elapsed();
-        Ok((found, stats))
-    }
-
-    /// Trace-ingest membership query: could a *recorded runtime trace*
-    /// (projected to event patterns) occur, in order, as a subsequence
-    /// of some execution of this program from its initial state?
-    ///
-    /// This is the conformance harness's entry point: a runtime under
-    /// a controlled scheduler records its execution in the explorer's
-    /// event vocabulary, projects it to [`EventPattern`]s, and asks the
-    /// model whether that behaviour is inside the explored space. A
-    /// definitive [`Answer::No`] means the runtime exhibited a
-    /// behaviour the model proves impossible — a conformance bug on
-    /// one side or the other.
-    pub fn admits_trace(&self, trace: &[EventPattern]) -> Result<Answer, RuntimeError> {
-        self.can_happen(&[], trace)
-    }
-
-    /// Answer a Test-1-style question: from some reachable state where
-    /// every `setup` condition holds, can the `query` event patterns
-    /// occur in order (as a subsequence of the continuation)?
-    pub fn can_happen(
-        &self,
-        setup: &[StateCond],
-        query: &[EventPattern],
-    ) -> Result<Answer, RuntimeError> {
-        self.can_happen_with_stats(setup, query).map(|(answer, _)| answer)
-    }
-
-    /// [`Explorer::can_happen`], also returning the witness-search
-    /// statistics (the setup-discovery search is accounted separately
-    /// inside, but its wall time and truncation are folded in).
-    pub fn can_happen_with_stats(
-        &self,
-        setup: &[StateCond],
-        query: &[EventPattern],
-    ) -> Result<(Answer, Stats), RuntimeError> {
-        let begin = Instant::now();
-        let (starts, setup_stats) =
-            self.setup_frontier(setup, query, self.limits.max_setup_states)?;
-        let mut stats = Stats::default();
-        if starts.is_empty() {
-            stats.wall = begin.elapsed();
-            let answer = Answer::SetupUnreachable { exhaustive: !setup_stats.truncated };
-            return Ok((answer, stats));
-        }
-        if query.is_empty() {
-            stats.wall = begin.elapsed();
-            return Ok((Answer::Yes { witness: Vec::new() }, stats));
-        }
-        // The witness search runs with POR: a transition that could
-        // match any query pattern (by kind, task label, function or
-        // message shape) is visible and is never pruned into an ample
-        // set, so event-subsequence reachability is preserved.
-        //
-        // Share pools and the visited set across start states: a
-        // (state, progress) node explored from one start need not be
-        // re-explored from another.
-        let pools = Interner::new();
-        let mut visited = Visited::default();
-        for start in starts {
-            let mut witness: Option<Vec<Event>> = None;
-            self.dfs(
-                start,
-                Some(query),
-                self.reduction,
-                Visibility { patterns: query, conds: &[] },
-                &pools,
-                &mut visited,
-                &mut stats,
-                &mut |_state, _events, _choices, progress| {
-                    if progress == query.len() {
-                        Visit::Stop
-                    } else {
-                        Visit::Continue
-                    }
-                },
-            )
-            .map(|w| witness = w)?;
-            if let Some(events) = witness {
-                stats.note_contention(pools.contention());
-                stats.wall = begin.elapsed();
-                return Ok((Answer::Yes { witness: events }, stats));
-            }
-        }
-        stats.note_contention(pools.contention());
-        stats.truncated |= setup_stats.truncated;
-        stats.wall = begin.elapsed();
-        let exhaustive = !stats.truncated;
-        Ok((Answer::No { exhaustive }, stats))
-    }
-
-    // --- internals ---------------------------------------------------------
-
-    /// Generic DFS with optional query-progress tracking.
-    ///
-    /// The callback sees each deduplicated node along with the edge
-    /// events that produced it and its enabled choices; returning
-    /// [`Visit::Stop`] aborts the search. When `query` is `Some`, the
-    /// return value carries the event path of the first node whose
-    /// progress reached `query.len()` (the witness).
-    #[allow(clippy::too_many_arguments)] // internal driver shared by three fronts
-    fn dfs(
-        &self,
-        start: State,
-        query: Option<&[EventPattern]>,
-        reduction: Reduction,
-        visibility: Visibility<'_>,
-        pools: &Interner,
-        visited: &mut Visited,
-        stats: &mut Stats,
-        visit: VisitFn<'_>,
-    ) -> Result<Option<Vec<Event>>, RuntimeError> {
-        let mut start = start;
-        self.normalize(reduction, pools, &mut start, stats);
-        let start_sig = pools.intern(&start);
-        if visited.covering((start_sig, 0), 0).is_some() {
-            stats.states_deduped += 1;
-            return Ok(None);
-        }
-        visited.admit((start_sig, 0), 0);
-        stats.states_visited += 1;
-        let choices = self.interp.choices(&start);
-        match visit(&start, &[], &choices, 0) {
-            Visit::Stop | Visit::Prune => return Ok(None),
-            Visit::Continue => {}
-        }
-        let ctx = ExploreCtx { pools, visited };
-        let expansion =
-            self.plan_expansion(&start, choices, 0, reduction, 0, visibility, ctx, stats)?;
-        let root = Node { sig: start_sig, progress: 0, edge_events: Vec::new(), expansion };
-        let mut stack_bytes = root.bytes();
-        stats.peak_stack_bytes = stats.peak_stack_bytes.max(stack_bytes);
-        stats.peak_stack_depth = stats.peak_stack_depth.max(1);
-        let mut stack = vec![root];
-
-        loop {
-            let depth = stack.len();
-            if depth == 0 {
-                return Ok(None);
-            }
-            let action = {
-                let node = stack.last_mut().expect("non-empty stack");
-                let exhausted = match &node.expansion {
-                    Expansion::Full { choices, next, .. } => *next >= choices.len(),
-                    Expansion::Ample { succs, next, .. } => *next >= succs.len(),
-                };
-                if exhausted {
-                    StepAction::Pop
-                } else if depth >= self.limits.max_depth {
-                    stats.truncated = true;
-                    StepAction::Pop
-                } else {
-                    match &mut node.expansion {
-                        Expansion::Full { choices, sleeps, next, .. } => {
-                            let choice = choices[*next].clone();
-                            let sleep = sleeps.get(*next).copied().unwrap_or(0);
-                            *next += 1;
-                            StepAction::Apply {
-                                choice,
-                                parent_sig: node.sig,
-                                progress: node.progress,
-                                sleep,
-                            }
-                        }
-                        Expansion::Ample { succs, sleeps, next } => {
-                            // Replay picks ride along for the graph
-                            // builder; the DFS itself has no use for
-                            // them.
-                            let (sig, events, _picks) = succs[*next].clone();
-                            let sleep = sleeps.get(*next).copied().unwrap_or(0);
-                            *next += 1;
-                            StepAction::Cached { sig, events, progress: node.progress, sleep }
-                        }
-                    }
-                }
-            };
-            let (next_state, sig, events, progress_before, sleep) = match action {
-                StepAction::Pop => {
-                    let node = stack.pop().expect("non-empty stack");
-                    stack_bytes = stack_bytes.saturating_sub(node.bytes());
-                    continue;
-                }
-                StepAction::Apply { choice, parent_sig, progress, sleep } => {
-                    let mut next_state = pools.materialize(parent_sig);
-                    let events = self.interp.apply(&mut next_state, &choice)?;
-                    // Step counts are path-dependent; freezing them
-                    // (inside normalize) keeps state dedup exact. The
-                    // sleep mask was computed in the parent's task
-                    // numbering and must follow the canonicalizing
-                    // permutation into the child.
-                    let perm = self.normalize(reduction, pools, &mut next_state, stats);
-                    let sleep = remap_sleep(sleep, perm.as_deref());
-                    stats.transitions += 1;
-                    let sig = pools.intern(&next_state);
-                    (next_state, sig, events, progress, sleep)
-                }
-                StepAction::Cached { sig, events, progress, sleep } => {
-                    (pools.materialize(sig), sig, events, progress, sleep)
-                }
-            };
-
-            let mut progress = progress_before;
-            if let Some(query) = query {
-                for event in &events {
-                    if progress < query.len() && query[progress].matches(event, &next_state) {
-                        progress += 1;
-                    }
-                }
-                if progress == query.len() {
-                    let mut path: Vec<Event> =
-                        stack.iter().flat_map(|n| n.edge_events.iter().cloned()).collect();
-                    path.extend(events);
-                    return Ok(Some(path));
-                }
-            }
-
-            let key = (sig, progress);
-            if visited.covering(key, sleep).is_some() {
-                stats.states_deduped += 1;
-                continue;
-            }
-            visited.admit(key, sleep);
-            stats.states_visited += 1;
-            if stats.states_visited >= self.limits.max_states {
-                stats.truncated = true;
-                return Ok(None);
-            }
-            let choices = self.interp.choices(&next_state);
-            match visit(&next_state, &events, &choices, progress) {
-                Visit::Stop => return Ok(None),
-                Visit::Prune => {}
-                Visit::Continue => {
-                    let expansion = self.plan_expansion(
-                        &next_state,
-                        choices,
-                        progress,
-                        reduction,
-                        sleep,
-                        visibility,
-                        ExploreCtx { pools, visited },
-                        stats,
-                    )?;
-                    let node = Node { sig, progress, edge_events: events, expansion };
-                    stack_bytes += node.bytes();
-                    stats.peak_stack_bytes = stats.peak_stack_bytes.max(stack_bytes);
-                    stats.peak_stack_depth = stats.peak_stack_depth.max(stack.len() + 1);
-                    stack.push(node);
-                }
-            }
-        }
-    }
-
-    /// Decide how to expand a node: an ample subset if one task
-    /// qualifies, otherwise all choices. A resulting *singleton*
-    /// invisible edge — whether a singleton ample set or the state's
-    /// only enabled choice — is extended through its corridor (see
-    /// [`Explorer::compress_corridor`]) before becoming an edge.
-    ///
-    /// The DFS and the graph builder share this planner (and
-    /// everything below it) verbatim, so a node's ample set depends
-    /// only on the state, the visibility, and visited-set membership
-    /// at planning time — never on which engine asked.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn plan_expansion(
+impl Planner<'_> {
+    /// Decide how to expand a node, and apply the plan: an ample
+    /// subset if one task qualifies, otherwise all choices (minus any
+    /// the sleep set covers). A resulting *singleton* invisible edge —
+    /// whether a singleton ample set or the state's only enabled
+    /// choice — is extended through its corridor (see
+    /// [`Planner::compress_corridor`]) before becoming an edge.
+    pub(crate) fn plan(
         &self,
         state: &State,
-        choices: Vec<Choice>,
-        progress: usize,
-        reduction: Reduction,
+        choices: &[Choice],
         sleep: SleepSet,
-        visibility: Visibility<'_>,
-        ctx: ExploreCtx<'_>,
         stats: &mut Stats,
     ) -> Result<Expansion, RuntimeError> {
-        if !reduction.por && !reduction.sleep {
+        if !self.reduction.por && !self.reduction.sleep {
             // No layer compares footprints: every choice is expanded.
-            return Ok(Expansion::Full { choices, sleeps: Vec::new(), origin: None, next: 0 });
+            return self.apply_each(state, choices, 0..choices.len(), Vec::new(), stats);
         }
-        let footprints = ChoiceFootprints::new(self.interp, state, &choices);
+        let footprints = ChoiceFootprints::new(self.interp, state, choices);
         // A task may stay asleep only while its sole enabled choice is
         // a resolved, invisible Step: a Send elsewhere can add Receive
         // choices to a task without any footprint conflict, so
         // sleeping through enabledness changes would be unsound.
         // Re-checked here, at the node the sleep set arrived at.
-        let sleep = if reduction.sleep && sleep != 0 {
-            self.retain_sleepable(&footprints, sleep, visibility)
+        let sleep = if self.reduction.sleep && sleep != 0 {
+            self.retain_sleepable(&footprints, sleep)
         } else {
             0
         };
-        if reduction.por {
+        if self.reduction.por {
             let first = if choices.len() > 1 {
-                let ample = self.try_ample(
-                    &footprints,
-                    progress,
-                    reduction,
-                    sleep,
-                    visibility,
-                    ctx,
-                    stats,
-                )?;
+                let ample = self.try_ample(&footprints, sleep, stats)?;
                 if let Some((succs, _, _, slept)) = &ample {
                     stats.por_ample_states += 1;
                     stats.por_pruned_choices += choices.len() - succs.len() - slept;
@@ -1051,13 +536,13 @@ impl<'i> Explorer<'i> {
                     stats.transitions += succs.len();
                 }
                 ample
-            } else if choices.len() == 1 && footprints.invisible(0, visibility) {
+            } else if choices.len() == 1 && footprints.invisible(0, self.visibility) {
                 if sleep_has(sleep, choice_task(&choices[0])) {
                     // The state's only transition is already covered
                     // by the sibling branch that put its task to
                     // sleep: nothing to expand here.
                     stats.sleep_pruned += 1;
-                    return Ok(Expansion::Ample { succs: Vec::new(), sleeps: Vec::new(), next: 0 });
+                    return Ok(Expansion::default());
                 }
                 // `retain_sleepable` keeps only sleepers with a choice
                 // here, and this choice's task is awake, so the sleep
@@ -1067,9 +552,9 @@ impl<'i> Explorer<'i> {
                 // defer, so take it eagerly — it may seed a corridor.
                 let mut next = state.clone();
                 let events = self.interp.apply(&mut next, &choices[0])?;
-                self.normalize(reduction, ctx.pools, &mut next, stats);
+                self.normalize(&mut next, stats);
                 stats.transitions += 1;
-                Some((vec![(ctx.pools.intern(&next), events, vec![0])], vec![next], Vec::new(), 0))
+                Some((vec![(self.pools.intern(&next), events, vec![0])], vec![next], Vec::new(), 0))
             } else {
                 None
             };
@@ -1081,37 +566,29 @@ impl<'i> Explorer<'i> {
                 if succs.len() == 1 && sleep == 0 {
                     let seed = succs.pop().expect("singleton");
                     let seed_state = states.pop().expect("state per successor");
-                    succs.push(self.compress_corridor(
-                        seed, seed_state, progress, reduction, visibility, ctx, stats,
-                    )?);
+                    succs.push(self.compress_corridor(seed, seed_state, stats)?);
                 }
-                return Ok(Expansion::Ample { succs, sleeps, next: 0 });
+                return Ok(Expansion { succs, sleeps });
             }
         }
-        if reduction.sleep {
+        if self.reduction.sleep {
             // Even with an empty incoming sleep set the full expansion
             // must *seed* child sleeps: branch i's children put earlier
             // independent siblings to sleep, which is where every
             // non-empty sleep set originates.
-            return Ok(self.full_minus_sleep(&footprints, sleep, visibility, stats));
+            return self.full_minus_sleep(&footprints, sleep, stats);
         }
-        Ok(Expansion::Full { choices, sleeps: Vec::new(), origin: None, next: 0 })
+        self.apply_each(state, choices, 0..choices.len(), Vec::new(), stats)
     }
 
     /// Canonical post-transition normalization: freeze the
     /// path-dependent step counter, then (when the symmetry layer is
     /// on) rewrite the state to its orbit representative so the
     /// interner hash-conses the whole orbit onto one signature.
-    pub(crate) fn normalize(
-        &self,
-        reduction: Reduction,
-        pools: &Interner,
-        state: &mut State,
-        stats: &mut Stats,
-    ) -> Option<Vec<usize>> {
+    pub(crate) fn normalize(&self, state: &mut State, stats: &mut Stats) -> Option<Vec<usize>> {
         state.steps = 0;
-        if reduction.symmetry {
-            if let Some(perm) = pools.canonicalize_symmetry(state) {
+        if self.reduction.symmetry {
+            if let Some(perm) = self.pools.canonicalize_symmetry(state) {
                 stats.states_canonicalized += 1;
                 return Some(perm);
             }
@@ -1119,15 +596,37 @@ impl<'i> Explorer<'i> {
         None
     }
 
+    /// Apply each of `picks` (indexes into `choices`) to a copy of
+    /// `state`, one edge per pick, recorded under that pick. `sleeps`
+    /// is empty or holds each child's sleep set in the parent's task
+    /// numbering; each follows its child's canonicalizing permutation.
+    fn apply_each(
+        &self,
+        state: &State,
+        choices: &[Choice],
+        picks: impl ExactSizeIterator<Item = usize>,
+        sleeps: Vec<SleepSet>,
+        stats: &mut Stats,
+    ) -> Result<Expansion, RuntimeError> {
+        let mut succs = Vec::with_capacity(picks.len());
+        let mut remapped = Vec::with_capacity(sleeps.len());
+        for (k, pick) in picks.enumerate() {
+            let mut next = state.clone();
+            let events = self.interp.apply(&mut next, &choices[pick])?;
+            let perm = self.normalize(&mut next, stats);
+            if let Some(z) = sleeps.get(k) {
+                remapped.push(remap_sleep(*z, perm.as_deref()));
+            }
+            stats.transitions += 1;
+            succs.push((self.pools.intern(&next), events, vec![pick]));
+        }
+        Ok(Expansion { succs, sleeps: remapped })
+    }
+
     /// Keep only the sleepers that are still *sleepable* at this
     /// state: exactly one enabled choice, which is a Step with a
     /// resolved, invisible footprint. Receive choices never sleep.
-    fn retain_sleepable(
-        &self,
-        footprints: &ChoiceFootprints<'_>,
-        sleep: SleepSet,
-        visibility: Visibility<'_>,
-    ) -> SleepSet {
+    fn retain_sleepable(&self, footprints: &ChoiceFootprints<'_>, sleep: SleepSet) -> SleepSet {
         let choices = footprints.choices;
         let mut kept = 0u128;
         for (i, choice) in choices.iter().enumerate() {
@@ -1138,15 +637,15 @@ impl<'i> Explorer<'i> {
             if choices.iter().enumerate().any(|(j, c)| j != i && choice_task(c) == t) {
                 continue;
             }
-            if footprints.invisible(i, visibility) {
+            if footprints.invisible(i, self.visibility) {
                 kept |= sleep_bit(t);
             }
         }
         kept
     }
 
-    /// Full expansion under a non-empty sleep set: drop the slept
-    /// tasks' choices and compute each kept child's sleep set — the
+    /// Full expansion under the sleep layer: drop the slept tasks'
+    /// choices and compute each kept child's sleep set — the
     /// carried-over sleepers that don't conflict with the taken step,
     /// plus every *earlier-explored* sleepable sibling task that
     /// doesn't (the classic sleep-set recurrence, at task
@@ -1155,9 +654,8 @@ impl<'i> Explorer<'i> {
         &self,
         footprints: &ChoiceFootprints<'_>,
         sleep: SleepSet,
-        visibility: Visibility<'_>,
         stats: &mut Stats,
-    ) -> Expansion {
+    ) -> Result<Expansion, RuntimeError> {
         let choices = footprints.choices;
         // Which tasks are sleepable *at this state* (for the
         // earlier-sibling additions): sole choice, Step, resolved and
@@ -1167,7 +665,7 @@ impl<'i> Explorer<'i> {
             let t = choice_task(choice);
             if matches!(choice, Choice::Step(_))
                 && !choices.iter().enumerate().any(|(j, c)| j != i && choice_task(c) == t)
-                && footprints.invisible(i, visibility)
+                && footprints.invisible(i, self.visibility)
             {
                 sleepable |= sleep_bit(t);
             }
@@ -1177,7 +675,6 @@ impl<'i> Explorer<'i> {
         stats.sleep_pruned += choices.len() - kept.len();
         let slept: Vec<usize> =
             (0..choices.len()).filter(|&i| sleep_has(sleep, choice_task(&choices[i]))).collect();
-        let mut out = Vec::with_capacity(kept.len());
         let mut sleeps = Vec::with_capacity(kept.len());
         for (pos, &i) in kept.iter().enumerate() {
             let fp_taken = footprints.get(i);
@@ -1197,89 +694,75 @@ impl<'i> Explorer<'i> {
                 }
             }
             sleeps.push(z);
-            out.push(choices[i].clone());
         }
-        Expansion::Full { choices: out, sleeps, origin: Some(kept), next: 0 }
+        // Each pick is the survivor's index in the unfiltered list.
+        self.apply_each(footprints.state, choices, kept.iter().copied(), sleeps, stats)
     }
 
     /// Corridor compression: a singleton invisible edge often leads
     /// into a chain of states that each have exactly one invisible
     /// successor — post-branching returns and joins, lock hand-offs,
     /// actor drain loops. Those interior states offer no interleaving
-    /// and no observable effect, so the DFS gains nothing by making
+    /// and no observable effect, so the graph gains nothing by making
     /// them nodes; this walks the chain and returns its far end with
     /// the accumulated edge events. Interior states are *not* added to
     /// the visited set (that is the point — they are not counted in
-    /// `states_visited` and never occupy the stack), so a path that
-    /// converges into a corridor interior re-walks the suffix:
-    /// duplicated work, never lost coverage.
+    /// `states_visited`), so a path that converges into a corridor
+    /// interior re-walks the suffix: duplicated work, never lost
+    /// coverage.
     ///
     /// Soundness: every hop is either the state's only enabled choice
     /// (nothing deferred) or a singleton ample set (commutation per
-    /// [`Explorer::try_ample`]), and every hop is invisible, so query
+    /// [`Planner::try_ample`]), and every hop is invisible, so query
     /// progress and all watched conditions are constant across the
     /// interior. The walk stops *before* terminals (they must surface
-    /// as nodes for the visit callback), at any already-visited
-    /// signature (the proviso), at a chain-local repeat (an invisible
-    /// cycle), at any visible/unknown/branching step, and after
-    /// [`CORRIDOR_MAX`] hops — a bound on single-edge work for
-    /// infinite-state programs; the end node just seeds the next
-    /// corridor.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn compress_corridor(
+    /// as nodes), at any already-visited signature (the proviso), at a
+    /// chain-local repeat (an invisible cycle), at any
+    /// visible/unknown/branching step, and after [`CORRIDOR_MAX`] hops
+    /// — a bound on single-edge work for infinite-state programs; the
+    /// end node just seeds the next corridor.
+    fn compress_corridor(
         &self,
         seed: Succ,
         seed_state: State,
-        progress: usize,
-        reduction: Reduction,
-        visibility: Visibility<'_>,
-        ctx: ExploreCtx<'_>,
         stats: &mut Stats,
     ) -> Result<Succ, RuntimeError> {
         let (mut sig, mut events, mut picks) = seed;
         let mut cur = seed_state;
         let mut interior: FxHashSet<StateSig> = FxHashSet::default();
         for _ in 0..CORRIDOR_MAX {
-            if ctx.visited.contains((sig, progress)) || !interior.insert(sig) {
+            if self.visited.contains(sig) || !interior.insert(sig) {
                 break;
             }
             // The walk threads the live successor state instead of
             // round-tripping `sig` through `materialize` each hop —
             // that round-trip dominated build wall time (corridors run
             // ~20 hops per surviving node). `canonicalize_live` makes
-            // `cur` byte-identical to `ctx.pools.materialize(sig)`, so a
-            // path that re-enters this corridor mid-chain replays the
+            // `cur` byte-identical to `self.pools.materialize(sig)`, so
+            // a path that re-enters this corridor mid-chain replays the
             // exact same states, events and picks.
             canonicalize_live(&mut cur);
             let choices = self.interp.choices(&cur);
             let hop = match choices.len() {
                 0 => None,
                 1 => {
-                    if visibility.invisible(&self.interp.choice_footprint(&cur, &choices[0])) {
+                    if self.visibility.invisible(&self.interp.choice_footprint(&cur, &choices[0])) {
                         // The predecessor state is dead once the hop
                         // commits, so apply in place — no clone.
                         let evs = self.interp.apply(&mut cur, &choices[0])?;
-                        self.normalize(reduction, ctx.pools, &mut cur, stats);
+                        self.normalize(&mut cur, stats);
                         stats.transitions += 1;
-                        Some((ctx.pools.intern(&cur), evs, vec![0], None))
+                        Some((self.pools.intern(&cur), evs, vec![0], None))
                     } else {
                         None
                     }
                 }
                 _ => {
                     // Corridors only run with an empty sleep set (see
-                    // `plan_expansion`), and an empty set stays empty
-                    // through a singleton hop, so pass sleep = 0.
+                    // `plan`), and an empty set stays empty through a
+                    // singleton hop, so pass sleep = 0.
                     let footprints = ChoiceFootprints::new(self.interp, &cur, &choices);
-                    match self.try_ample(
-                        &footprints,
-                        progress,
-                        reduction,
-                        0,
-                        visibility,
-                        ctx,
-                        stats,
-                    )? {
+                    match self.try_ample(&footprints, 0, stats)? {
                         Some((succs, states, _, _)) if succs.len() == 1 => {
                             stats.por_ample_states += 1;
                             stats.por_pruned_choices += choices.len() - 1;
@@ -1315,28 +798,23 @@ impl<'i> Explorer<'i> {
     ///
     /// 1. every choice's footprint is fully resolved (no `unknown`),
     /// 2. no choice is visible — could emit an event the active query
-    ///    observes, or change the truth of a condition the callback
-    ///    evaluates — and
+    ///    observes, or change the truth of a condition it evaluates —
+    ///    and
     /// 3. no choice's footprint conflicts with any *future* access of
     ///    any other live task (static per-pc summaries of its stacked
     ///    frames, plus the locks it holds or must re-acquire), and
-    /// 4. every successor is an unvisited node (cycle proviso — this
-    ///    implies the classic "no successor on the DFS stack", so the
-    ///    deferred tasks cannot be ignored around a cycle).
+    /// 4. every successor is an unvisited node (cycle proviso — with
+    ///    the level-synchronized snapshot this forces at least one full
+    ///    expansion around every cycle; see [`crate::graph`]).
     ///
     /// Tasks are tried in id order; the first that qualifies wins.
     /// Commits nothing to [`Stats`] — callers account for the ample
     /// states, pruned choices and transitions of the results they
     /// actually keep (a corridor probe may discard a branching set).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn try_ample(
+    fn try_ample(
         &self,
         footprints: &ChoiceFootprints<'_>,
-        progress: usize,
-        reduction: Reduction,
         sleep: SleepSet,
-        visibility: Visibility<'_>,
-        ctx: ExploreCtx<'_>,
         stats: &mut Stats,
     ) -> Result<Option<AmpleOut>, RuntimeError> {
         let (state, choices) = (footprints.state, footprints.choices);
@@ -1355,7 +833,7 @@ impl<'i> Explorer<'i> {
             let tid = choice_task(&choices[next_run]);
             let idxs = task_run(choices, tid);
             next_run = idxs.end;
-            if !idxs.clone().all(|i| footprints.invisible(i, visibility)) {
+            if !idxs.clone().all(|i| footprints.invisible(i, self.visibility)) {
                 continue 'candidate;
             }
             // Accesses protected by the candidate's held locks cannot
@@ -1396,8 +874,8 @@ impl<'i> Explorer<'i> {
             for i in idxs {
                 let mut next = state.clone();
                 let events = self.interp.apply(&mut next, &choices[i])?;
-                let perm = self.normalize(reduction, ctx.pools, &mut next, stats);
-                let sig = ctx.pools.intern(&next);
+                let perm = self.normalize(&mut next, stats);
+                let sig = self.pools.intern(&next);
                 if sleep != 0 {
                     // Carry over each sleeper whose step commutes
                     // with the one taken. Ample expansion adds no new
@@ -1422,14 +900,114 @@ impl<'i> Explorer<'i> {
                 succs.push((sig, events, vec![i]));
                 states.push(next);
             }
-            // Invisible edges cannot advance query progress, so the
-            // successors' node keys keep this node's progress.
-            if succs.iter().any(|(sig, _, _)| ctx.visited.contains((*sig, progress))) {
+            if succs.iter().any(|(sig, _, _)| self.visited.contains(*sig)) {
                 continue 'candidate;
             }
             return Ok(Some((succs, states, sleeps, 0)));
         }
         Ok(None)
+    }
+}
+
+/// The explorer: the query surface of a
+/// [`Session`] with no store and one build
+/// worker. Each call builds a fresh state graph on the calling thread
+/// and reads its answer from it, so an explorer memoizes nothing; a
+/// session answers the same questions and keeps its graphs.
+pub struct Explorer<'i> {
+    pub interp: &'i Interp,
+    pub limits: Limits,
+    /// The reduction stack every build applies. A query's setup
+    /// conditions and event patterns are visible to it, so no
+    /// reduction prunes what the query observes.
+    pub reduction: Reduction,
+}
+
+impl<'i> Explorer<'i> {
+    pub fn new(interp: &'i Interp) -> Self {
+        Explorer::with_limits(interp, Limits::default())
+    }
+
+    pub fn with_limits(interp: &'i Interp, limits: Limits) -> Self {
+        Explorer { interp, limits, reduction: Reduction::default() }
+    }
+
+    /// The same explorer with partial-order reduction disabled.
+    /// (Symmetry and sleep keep their current settings; use
+    /// [`Explorer::with_reduction`] + [`Reduction::NONE`] for a fully
+    /// unreduced search.)
+    pub fn without_por(mut self) -> Self {
+        self.reduction.por = false;
+        self
+    }
+
+    /// The same explorer with an explicit reduction stack, overriding
+    /// the default.
+    pub fn with_reduction(mut self, reduction: Reduction) -> Self {
+        self.reduction = reduction;
+        self
+    }
+
+    /// Does nothing: an explorer always builds on one worker. Graph
+    /// builds take their worker count from
+    /// [`crate::session::Session::with_threads`].
+    #[deprecated(
+        note = "an explorer builds on one worker; set graph-build workers with `Session::with_threads`"
+    )]
+    pub fn with_threads(self, _threads: usize) -> Self {
+        self
+    }
+
+    /// The session this explorer stands for.
+    fn session(&self) -> Session<'i> {
+        Session::storeless(self.interp, self.limits).with_reduction(self.reduction)
+    }
+
+    /// Enumerate every reachable terminal state (distinct outputs +
+    /// outcome kinds). This regenerates the figures' "possibility"
+    /// lists exactly.
+    ///
+    /// Runs under the reduction stack: ample sets are persistent, so
+    /// every state with no enabled transitions — every terminal — is
+    /// still reached.
+    pub fn terminals(&self) -> Result<TerminalSet, RuntimeError> {
+        self.session().terminals()
+    }
+
+    /// Trace-ingest membership query: could a *recorded runtime trace*
+    /// (projected to event patterns) occur, in order, as a subsequence
+    /// of some execution of this program from its initial state?
+    ///
+    /// This is the conformance harness's entry point: a runtime under
+    /// a controlled scheduler records its execution in the explorer's
+    /// event vocabulary, projects it to [`EventPattern`]s, and asks the
+    /// model whether that behaviour is inside the explored space. A
+    /// definitive [`Answer::No`] means the runtime exhibited a
+    /// behaviour the model proves impossible — a conformance bug on
+    /// one side or the other.
+    pub fn admits_trace(&self, trace: &[EventPattern]) -> Result<Answer, RuntimeError> {
+        self.session().admits_trace(trace)
+    }
+
+    /// Answer a Test-1-style question: from some reachable state where
+    /// every `setup` condition holds, can the `query` event patterns
+    /// occur in order (as a subsequence of the continuation)?
+    pub fn can_happen(
+        &self,
+        setup: &[StateCond],
+        query: &[EventPattern],
+    ) -> Result<Answer, RuntimeError> {
+        self.session().can_happen(setup, query)
+    }
+
+    /// [`Explorer::can_happen`], also returning the statistics of the
+    /// graph build that answered it.
+    pub fn can_happen_with_stats(
+        &self,
+        setup: &[StateCond],
+        query: &[EventPattern],
+    ) -> Result<(Answer, Stats), RuntimeError> {
+        self.session().can_happen_with_stats(setup, query)
     }
 }
 
@@ -1450,6 +1028,15 @@ mod tests {
         Interp::from_source(src).expect("compiles")
     }
 
+    /// Two distinct signatures from one interner.
+    fn two_sigs() -> (StateSig, StateSig) {
+        let pools = Interner::new();
+        let mut state = interp("PRINT 1\n").initial_state();
+        let a = pools.intern(&state);
+        state.next_seq += 1;
+        (a, pools.intern(&state))
+    }
+
     #[test]
     fn stats_conservation_without_por() {
         // Without POR the transition structure of a fixed program is
@@ -1468,12 +1055,12 @@ mod tests {
     #[test]
     fn visited_superset_rule() {
         let mut table = Visited::default();
-        let key = (StateSig::PLACEHOLDER, 7);
-        // The DFS's claim: expand exactly when nothing covers.
+        let (sig, _) = two_sigs();
+        // A claim: expand exactly when nothing covers.
         let mut claim = |sleep: SleepSet| {
-            let fresh = table.covering(key, sleep).is_none();
+            let fresh = table.covering(sig, sleep).is_none();
             if fresh {
-                table.admit(key, sleep);
+                table.admit(sig, sleep);
             }
             fresh
         };
@@ -1491,15 +1078,13 @@ mod tests {
         assert!(!claim(0b1000));
     }
 
-    /// The graph builder's case: a key admitted under several
-    /// incomparable sleep sets dedups an arrival to the earliest
-    /// admission that covers it, which is the node id the level merge
-    /// records as the edge's target.
+    /// A state admitted under several incomparable sleep sets dedups an
+    /// arrival to the earliest admission that covers it, which is the
+    /// node id the level merge records as the edge's target.
     #[test]
     fn visited_covering_returns_the_earliest_covering_admission() {
         let mut visited = Visited::default();
-        let key = (StateSig::PLACEHOLDER, 0);
-        let other = (StateSig::PLACEHOLDER, 1);
+        let (key, other) = two_sigs();
         assert!(!visited.contains(key));
         assert_eq!(visited.admit(other, 0), 0);
         assert_eq!(visited.admit(key, 0b011), 1);

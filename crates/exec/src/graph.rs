@@ -11,22 +11,23 @@
 //!
 //! # Deterministic level-synchronized construction
 //!
-//! This builder is the crate's only parallel exploration engine, and
-//! it must be *deterministic*: the whole point of a cached graph is
-//! that an answer computed today byte-matches the answer recomputed
-//! tomorrow, at any worker count. Workers racing on one live visited
-//! set would make POR's ample selection (and so the explored subgraph)
-//! depend on thread timing. So the builder runs a level-synchronized
-//! BFS:
+//! This builder is the crate's only exploration engine: every
+//! [`crate::session::Session`] and [`crate::explore::Explorer`] answer
+//! is read off a graph it built. It must be *deterministic*: the whole
+//! point of a cached graph is that an answer computed today
+//! byte-matches the answer recomputed tomorrow, at any worker count.
+//! Workers racing on one live visited set would make POR's ample
+//! selection (and so the explored subgraph) depend on thread timing.
+//! So the builder runs a level-synchronized BFS:
 //!
 //! 1. Every node of the current level is expanded against a *frozen*
 //!    visited snapshot (the table as of the end of the previous
 //!    level). Expansion planning — including ample-set selection and
-//!    corridor compression, shared verbatim with the serial DFS, which
-//!    keeps the same kind of `Visited` set — therefore depends only on
-//!    the state and the snapshot, never on scheduling. Levels are
-//!    fanned out across worker threads by contiguous chunks; results
-//!    are indexed, so thread timing cannot reorder them.
+//!    corridor compression, done by the planner in
+//!    [`crate::explore`] — therefore depends only on the state and the
+//!    snapshot, never on scheduling. Levels are fanned out across
+//!    worker threads by contiguous chunks; results are indexed, so
+//!    thread timing cannot reorder them.
 //! 2. Successors are merged into the store sequentially, in (node id,
 //!    edge order) — a canonical order. New nodes take the next id.
 //!
@@ -36,8 +37,8 @@
 //! its insertion ends level `k` or later. Around a cycle of
 //! ample-expanded nodes the insertion levels would have to be strictly
 //! increasing — a contradiction, so at least one node of every cycle
-//! is fully expanded (the same ignoring-problem guarantee the DFS's
-//! unvisited-successor proviso gives).
+//! is fully expanded (the ignoring-problem guarantee a depth-first
+//! search gets from its unvisited-successor proviso).
 //!
 //! Witness searches over the graph are plain FIFO BFS on the
 //! `(node, query-progress)` product, seeded in canonical order —
@@ -66,8 +67,8 @@
 
 use crate::event::{Event, EventPattern, StateCond};
 use crate::explore::{
-    choice_task, remap_sleep, Answer, Expansion, ExploreCtx, Explorer, Limits, Reduction, SleepSet,
-    Stats, Succ, Terminal, TerminalKind, TerminalSet, Visibility, Visited,
+    choice_task, Answer, Expansion, Limits, Planner, Reduction, SleepSet, Stats, Terminal,
+    TerminalKind, TerminalSet, Visibility, Visited,
 };
 use crate::intern::{fx_hash_of, FxHashMap, FxHashSet, Interner, SigView, StateSig};
 use crate::interp::{Interp, Outcome};
@@ -115,8 +116,7 @@ pub(crate) struct GraphEdge<'g> {
 
 struct NodeRec {
     sig: StateSig,
-    /// Path depth in nodes (root = 1); mirrors the DFS's depth
-    /// accounting for `max_depth`.
+    /// Path depth in nodes (root = 1), the unit of `max_depth`.
     depth: u32,
     /// BFS-tree parent (self for the root) and the edge index within
     /// the parent's list — the canonical shortest path back to the
@@ -143,12 +143,10 @@ pub struct WitnessEvidence {
 }
 
 /// What one node contributed to its level: terminal classification or
-/// a successor list, plus the stats delta its expansion accrued.
+/// its planned successors, plus the stats delta its expansion accrued.
 struct LevelOut {
     terminal: Option<Terminal>,
-    succs: Vec<Succ>,
-    /// Per-successor sleep sets, parallel to `succs` (empty ⇔ all 0).
-    sleeps: Vec<SleepSet>,
+    expansion: Expansion,
     stats: Stats,
 }
 
@@ -222,13 +220,10 @@ impl StateGraph {
     ) -> Result<StateGraph, RuntimeError> {
         let begin = Instant::now();
         let interner = Interner::new();
-        let probe = Explorer::with_limits(interp, limits);
-        // Graphs are built query-agnostically, so every key has
-        // progress 0. Under sleep sets a signature can own several
-        // nodes, admitted under incomparable sleep sets; an arrival
-        // dedups to the first that covers it. Sleep sets are
-        // build-only: reloads rebuild structure from picks and never
-        // re-run the planner.
+        // Under sleep sets a signature can own several nodes, admitted
+        // under incomparable sleep sets; an arrival dedups to the
+        // first that covers it. Sleep sets are build-only: reloads
+        // rebuild structure from picks and never re-run the planner.
         let mut visited = Visited::default();
         let mut nodes: Vec<NodeRec> = Vec::new();
         let mut edges = FlatEdges::default();
@@ -236,9 +231,10 @@ impl StateGraph {
         let mut stats = Stats::default();
 
         let mut root = interp.initial_state();
-        probe.normalize(reduction, &interner, &mut root, &mut stats);
+        Planner { interp, reduction, visibility, pools: &interner, visited: &visited }
+            .normalize(&mut root, &mut stats);
         let root_sig = interner.intern(&root);
-        visited.admit((root_sig, 0), 0);
+        visited.admit(root_sig, 0);
         nodes.push(NodeRec { sig: root_sig, depth: 1, parent: 0, via: 0, terminal: None });
         stats.states_visited = 1;
         // Each frontier node with the sleep set it was admitted under.
@@ -252,8 +248,9 @@ impl StateGraph {
                     (n.sig, n.depth, sleep)
                 })
                 .collect();
-            let ctx = ExploreCtx { pools: &interner, visited: &visited };
-            let outs = expand_level(&probe, ctx, &items, reduction, visibility, workers);
+            let planner =
+                Planner { interp, reduction, visibility, pools: &interner, visited: &visited };
+            let outs = expand_level(planner, &items, limits.max_depth, workers);
 
             let mut next_frontier = Vec::new();
             for (&(id, _), out) in frontier.iter().zip(outs) {
@@ -268,10 +265,11 @@ impl StateGraph {
                     terminals.insert(term);
                     continue;
                 }
-                for (i, (sig, events, picks)) in out.succs.into_iter().enumerate() {
-                    let sleep = out.sleeps.get(i).copied().unwrap_or(0);
+                let Expansion { succs, sleeps } = out.expansion;
+                for (i, (sig, events, picks)) in succs.into_iter().enumerate() {
+                    let sleep = sleeps.get(i).copied().unwrap_or(0);
                     let via = edges.open_degree();
-                    let target = match visited.covering((sig, 0), sleep) {
+                    let target = match visited.covering(sig, sleep) {
                         Some(t) => {
                             stats.states_deduped += 1;
                             t
@@ -287,7 +285,7 @@ impl StateGraph {
                             }
                             // Nodes and admissions are made together,
                             // so an admission index is a node id.
-                            let t = visited.admit((sig, 0), sleep);
+                            let t = visited.admit(sig, sleep);
                             debug_assert_eq!(t as usize, nodes.len());
                             let depth = nodes[id as usize].depth + 1;
                             nodes.push(NodeRec { sig, depth, parent: id, via, terminal: None });
@@ -403,11 +401,11 @@ impl StateGraph {
     }
 
     /// Frontier-only BFS collecting nodes where every `setup`
-    /// condition holds, capped at `cap` (the serial explorer's
-    /// `max_setup_states` discipline: exploration never descends below
-    /// a match, which loses nothing for existential continuation
-    /// queries). Returns the start nodes in canonical discovery order
-    /// plus whether the cap truncated discovery.
+    /// condition holds, capped at `cap` (`max_setup_states`):
+    /// exploration never descends below a match, which loses nothing
+    /// for existential continuation queries. Returns the start nodes in
+    /// canonical discovery order plus whether the cap truncated
+    /// discovery.
     fn setup_nodes(&self, interp: &Interp, setup: &[StateCond], cap: usize) -> (Vec<u32>, bool) {
         let funcs = &interp.compiled.funcs;
         let mut starts = Vec::new();
@@ -499,8 +497,8 @@ impl StateGraph {
                     }
                 }
                 if p2 as usize == query.len() {
-                    // Realized (possibly mid-edge): like the DFS, the
-                    // witness carries the full final edge.
+                    // Realized (possibly mid-edge): the witness
+                    // carries the full final edge.
                     let (witness, evidence) = self.assemble_witness(&parents, (n, p), ei as u32);
                     return (Answer::Yes { witness }, Some(evidence));
                 }
@@ -681,9 +679,11 @@ impl StateGraph {
             let _ = writeln!(out, "{atom}");
         }
         let s = &self.stats;
+        // The two zeros fill the slots of counters the format still
+        // carries but no build sets, so stored bytes keep their shape.
         let _ = writeln!(
             out,
-            "stats {} {} {} {} {} {} {} {} {} {}",
+            "stats {} {} {} {} {} {} {} 0 0 {}",
             s.states_visited,
             s.states_deduped,
             s.transitions,
@@ -691,8 +691,6 @@ impl StateGraph {
             s.por_pruned_choices,
             s.states_canonicalized,
             s.sleep_pruned,
-            s.peak_stack_depth,
-            s.peak_stack_bytes,
             s.truncated as u8,
         );
         let _ = writeln!(out, "nodes {}", self.nodes.len());
@@ -773,8 +771,7 @@ impl StateGraph {
             por_pruned_choices: st[4] as usize,
             states_canonicalized: st[5] as usize,
             sleep_pruned: st[6] as usize,
-            peak_stack_depth: st[7] as usize,
-            peak_stack_bytes: st[8] as usize,
+            // st[7] and st[8] are the two slots `to_bytes` fills with 0.
             truncated: st[9] != 0,
             ..Stats::default()
         };
@@ -1045,8 +1042,6 @@ fn accrue(total: &mut Stats, part: &Stats) {
     total.states_canonicalized += part.states_canonicalized;
     total.sleep_pruned += part.sleep_pruned;
     total.truncated |= part.truncated;
-    total.peak_stack_depth = total.peak_stack_depth.max(part.peak_stack_depth);
-    total.peak_stack_bytes = total.peak_stack_bytes.max(part.peak_stack_bytes);
 }
 
 /// Nodes per chunk when a level of `width` nodes fans out across
@@ -1061,33 +1056,21 @@ fn level_chunk(width: usize, workers: usize) -> usize {
 /// [`MAX_LEVEL_THREADS`]) when the level is wide enough. Results are
 /// returned in frontier order regardless of scheduling.
 fn expand_level(
-    probe: &Explorer<'_>,
-    ctx: ExploreCtx<'_>,
+    planner: Planner<'_>,
     items: &[(StateSig, u32, SleepSet)],
-    reduction: Reduction,
-    visibility: Visibility<'_>,
+    max_depth: usize,
     workers: usize,
 ) -> Vec<Result<LevelOut, RuntimeError>> {
+    let expand = |&(sig, depth, sleep): &(StateSig, u32, SleepSet)| {
+        expand_node(planner, sig, depth, sleep, max_depth)
+    };
     if items.len() < PAR_LEVEL_MIN || workers <= 1 {
-        return items
-            .iter()
-            .map(|&(sig, depth, sleep)| {
-                expand_node(probe, ctx, sig, depth, sleep, reduction, visibility)
-            })
-            .collect();
+        return items.iter().map(expand).collect();
     }
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(level_chunk(items.len(), workers))
-            .map(|part| {
-                scope.spawn(move || {
-                    part.iter()
-                        .map(|&(sig, depth, sleep)| {
-                            expand_node(probe, ctx, sig, depth, sleep, reduction, visibility)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
+            .map(|part| scope.spawn(move || part.iter().map(expand).collect::<Vec<_>>()))
             .collect();
         let mut outs = Vec::with_capacity(items.len());
         for handle in handles {
@@ -1098,65 +1081,32 @@ fn expand_level(
 }
 
 /// Expand a single node: classify terminals, honor the depth bound,
-/// otherwise plan through the shared POR machinery and apply full
-/// expansions eagerly (recording the choice index of every hop).
+/// otherwise let the planner pick and apply its successors.
 fn expand_node(
-    probe: &Explorer<'_>,
-    ctx: ExploreCtx<'_>,
+    planner: Planner<'_>,
     sig: StateSig,
     depth: u32,
     sleep: SleepSet,
-    reduction: Reduction,
-    visibility: Visibility<'_>,
+    max_depth: usize,
 ) -> Result<LevelOut, RuntimeError> {
     let mut stats = Stats::default();
-    let state = ctx.pools.materialize(sig);
-    let choices = probe.interp.choices(&state);
+    let state = planner.pools.materialize(sig);
+    let choices = planner.interp.choices(&state);
     if choices.is_empty() {
-        let outcome = match probe.interp.classify_stuck(&state) {
+        let outcome = match planner.interp.classify_stuck(&state) {
             Outcome::AllDone => TerminalKind::AllDone,
             Outcome::Quiescent => TerminalKind::Quiescent,
             _ => TerminalKind::Deadlock,
         };
         let terminal = Terminal { output: state.output.normalized(), outcome };
-        return Ok(LevelOut {
-            terminal: Some(terminal),
-            succs: Vec::new(),
-            sleeps: Vec::new(),
-            stats,
-        });
+        return Ok(LevelOut { terminal: Some(terminal), expansion: Expansion::default(), stats });
     }
-    if depth as usize >= probe.limits.max_depth {
+    if depth as usize >= max_depth {
         stats.truncated = true;
-        return Ok(LevelOut { terminal: None, succs: Vec::new(), sleeps: Vec::new(), stats });
+        return Ok(LevelOut { terminal: None, expansion: Expansion::default(), stats });
     }
-    let expansion =
-        probe.plan_expansion(&state, choices, 0, reduction, sleep, visibility, ctx, &mut stats)?;
-    let (succs, sleeps) = match expansion {
-        Expansion::Full { choices, sleeps, origin, .. } => {
-            let mut out = Vec::with_capacity(choices.len());
-            let mut remapped = Vec::with_capacity(sleeps.len());
-            for (i, choice) in choices.iter().enumerate() {
-                let mut next = state.clone();
-                let events = probe.interp.apply(&mut next, choice)?;
-                // Child sleep masks are in the parent's task numbering;
-                // follow the canonicalizing permutation into the child.
-                let perm = probe.normalize(reduction, ctx.pools, &mut next, &mut stats);
-                if let Some(z) = sleeps.get(i) {
-                    remapped.push(remap_sleep(*z, perm.as_deref()));
-                }
-                stats.transitions += 1;
-                // Replay picks index the *unfiltered* choice list; when
-                // the sleep layer dropped choices, `origin` carries the
-                // original index of each survivor.
-                let pick = origin.as_ref().map_or(i, |o| o[i]);
-                out.push((ctx.pools.intern(&next), events, vec![pick]));
-            }
-            (out, remapped)
-        }
-        Expansion::Ample { succs, sleeps, .. } => (succs, sleeps),
-    };
-    Ok(LevelOut { terminal: None, succs, sleeps, stats })
+    let expansion = planner.plan(&state, &choices, sleep, &mut stats)?;
+    Ok(LevelOut { terminal: None, expansion, stats })
 }
 
 #[cfg(test)]
@@ -1198,10 +1148,10 @@ mod tests {
     }
 
     #[test]
-    fn graph_terminals_match_direct_exploration() {
+    fn graph_terminals_match_the_oracle() {
         for src in [figures::FIG3_TWO_PRINTS, figures::FIG5_MESSAGE_PASSING] {
             let interp = Interp::from_source(src).expect("compiles");
-            let direct = Explorer::new(&interp).terminals().expect("explores");
+            let direct = crate::oracle::Oracle::new(&interp).terminals().expect("explores");
             let built = StateGraph::build(
                 &interp,
                 Limits::default(),
@@ -1229,8 +1179,8 @@ mod tests {
     #[test]
     fn unreduced_graph_conserves_claims() {
         // Without POR every transition is exactly one edge and one
-        // dedup-or-insert, so the conservation law the DFS obeys
-        // holds for the store too, at any worker count.
+        // dedup-or-insert, so the store conserves claims at any worker
+        // count, and stores exactly the states the oracle reaches.
         let interp = Interp::from_source(figures::FIG5_MESSAGE_PASSING).expect("compiles");
         let built = StateGraph::build(
             &interp,
@@ -1243,7 +1193,7 @@ mod tests {
         .expect("builds");
         let s = built.stats();
         assert_eq!(s.states_visited + s.states_deduped, s.transitions + 1);
-        let direct = Explorer::new(&interp).without_por().terminals().expect("explores");
+        let direct = crate::oracle::Oracle::new(&interp).terminals().expect("explores");
         assert_eq!(s.states_visited, direct.stats.states_visited);
         assert_eq!(s.transitions, direct.stats.transitions);
     }

@@ -3,8 +3,8 @@
 //! The explorer visits up to hundreds of thousands of states whose
 //! components (globals map, object heap, per-task stacks, mailboxes)
 //! mostly repeat: one task steps, everything else is unchanged.
-//! Instead of keeping full [`State`] clones on the DFS stack and
-//! hashing whole states into the visited set, each component is
+//! Instead of keeping full [`State`] clones in the graph and hashing
+//! whole states into the visited set, each component is
 //! interned into a [`LockFreePool`] once and a state collapses to a
 //! [`StateSig`] — eight words, `Copy`, cheap to hash and compare
 //! *exactly* (the visited set no longer relies on 64-bit hashes being
@@ -16,13 +16,10 @@
 //! back out, and a component a step did not write is still the pool's
 //! own payload, found by its address without hashing.
 //!
-//! One concrete backend — [`Interner`] — serves both exploration
-//! drivers: the serial DFS (`explore.rs`) and the level-synchronized
+//! One concrete backend — [`Interner`] — serves the level-synchronized
 //! graph builder (`graph.rs`), whose workers share one interner across
-//! threads. (Earlier revisions kept a single-threaded `Rc`-backed
-//! interner and a separate 16-way Mutex-striped one; the lock-free
-//! table is uncontended-cheap enough to make the split pointless.)
-//! Neither driver's visited set lives here: both update it on one
+//! threads; it is uncontended-cheap enough on one worker too. The
+//! builder's visited set does not live here: it is updated on one
 //! thread, so it is a plain map over signatures (`explore::Visited`).
 //!
 //! The membership layer is built from two pieces:
@@ -886,10 +883,9 @@ impl StateSig {
 }
 
 /// Component pools for one exploration: the single concrete backend
-/// behind [`crate::explore::ExploreCtx`] for the DFS and the graph
-/// builder alike. `intern` takes `&self` and is safe (and cheap) from
-/// any number of threads — the builder's level workers share one —
-/// and ids are stable for the interner's lifetime.
+/// behind the graph builder's planner. `intern` takes `&self` and is
+/// safe (and cheap) from any number of threads — the builder's level
+/// workers share one — and ids are stable for the interner's lifetime.
 pub(crate) struct Interner {
     globals: LockFreePool<BTreeMap<String, Value>>,
     /// Heaps as vectors of object handles: a heap differing from a
@@ -1295,8 +1291,8 @@ mod tests {
     /// so almost every lookup is a hit on a record met before.
     #[test]
     fn memoized_orbit_keys_match_rendered_keys() {
-        use crate::explore::Explorer;
         use crate::figures;
+        use crate::oracle::Oracle;
         use crate::schedule::{RandomScheduler, Scheduler};
 
         fn check(pools: &Interner, state: &State, what: &str) -> bool {
@@ -1319,8 +1315,7 @@ mod tests {
         ];
         for (name, src) in &programs {
             let interp = Interp::from_source(src).unwrap();
-            let (states, stats) =
-                Explorer::new(&interp).reachable_states(&[], usize::MAX, false).unwrap();
+            let (states, stats) = Oracle::new(&interp).states(&[], usize::MAX, false).unwrap();
             assert!(!stats.truncated, "{name}: enumerated exhaustively");
             if *name == "dining(3)" {
                 assert_eq!(states.len(), 13_206, "{name}: the unreduced space");

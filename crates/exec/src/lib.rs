@@ -18,6 +18,12 @@
 //!   given state conditions ("redCarA has called redEnter() but has
 //!   not returned"), can a sequence of events happen next?
 //!
+//! One engine answers both: the graph builder ([`graph`]), which an
+//! [`explore::Explorer`] runs afresh for every question and a
+//! [`session::Session`] memoizes. [`oracle::Oracle`] answers the same
+//! questions by brute force, without any reduction, as the reference
+//! the builder is tested against.
+//!
 //! # Example: Figure 3's possibility list
 //!
 //! ```
@@ -37,6 +43,7 @@ pub mod graph;
 pub(crate) mod intern;
 pub use intern::canonicalize_symmetry;
 pub mod interp;
+pub mod oracle;
 pub mod program;
 pub mod schedule;
 pub mod server;

@@ -145,10 +145,7 @@ fn server_accounts_quotient_states_for_dining() {
     let session = server.owned_session("fuzz", &src).expect("compiles");
 
     // Ground truth for the quotient size: an independent graph build
-    // through a private cache (the server charges graph *node* counts,
-    // so the comparison must come from the graph path — the serial
-    // DFS explorer reduces to a differently-shaped, equally exact
-    // quotient).
+    // through a private cache (the server charges graph *node* counts).
     let interp = Interp::from_source(&src).expect("compiles");
     let truth = Session::new(&interp)
         .with_reduction(Reduction { por: true, symmetry: true, sleep: false })

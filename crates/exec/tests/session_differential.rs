@@ -1,8 +1,9 @@
 //! Differential tests for the build-once-query-many stack: cached
 //! [`Session`] answers must be byte-identical to fresh builds, across
-//! worker counts, and must agree with the direct serial explorer.
+//! worker counts, and must agree with the brute-force [`Oracle`].
 
-use concur_exec::explore::{Explorer, Limits, Reduction};
+use concur_exec::explore::{Limits, Reduction};
+use concur_exec::oracle::Oracle;
 use concur_exec::{
     figures, EventKindPattern as EK, EventPattern, Interp, QueryCache, Session, Spec, StateCond,
 };
@@ -21,12 +22,12 @@ const FIGURES: &[(&str, &str)] = &[
 ];
 
 /// Terminal sets from the session are byte-identical at every worker
-/// count, on hit and on miss, and match the direct serial explorer.
+/// count, on hit and on miss, and match the oracle.
 #[test]
 fn terminals_are_byte_identical_across_workers_and_cache_states() {
     for (name, src) in FIGURES {
         let interp = Interp::from_source(src).expect("compiles");
-        let serial = Explorer::new(&interp).terminals().expect("explores");
+        let truth = Oracle::new(&interp).terminals().expect("explores");
         let mut reference = None;
         for workers in [1usize, 2, 4, 8] {
             let cache = Arc::new(QueryCache::new());
@@ -38,8 +39,8 @@ fn terminals_are_byte_identical_across_workers_and_cache_states() {
                 "{name} @{workers}: hit differs from miss"
             );
             assert_eq!(
-                fresh.terminals, serial.terminals,
-                "{name} @{workers}: session differs from serial explorer"
+                fresh.terminals, truth.terminals,
+                "{name} @{workers}: session differs from the oracle"
             );
             match &reference {
                 None => reference = Some(fresh.terminals),
@@ -53,11 +54,11 @@ fn terminals_are_byte_identical_across_workers_and_cache_states() {
 }
 
 /// Representative can_happen queries: verdicts (and exhaustiveness)
-/// from the cached graph equal the direct serial explorer's, and the
+/// from the cached graph equal the oracle's, and the
 /// witness — BFS-shortest on the graph — is byte-identical at every
 /// worker count and replays to the claimed events.
 #[test]
-fn can_happen_agrees_with_serial_and_is_worker_invariant() {
+fn can_happen_agrees_with_the_oracle_and_is_worker_invariant() {
     let queries: Vec<(&str, &str, Vec<StateCond>, Vec<EventPattern>)> = vec![
         (
             "fig3-interleaved",
@@ -92,7 +93,7 @@ fn can_happen_agrees_with_serial_and_is_worker_invariant() {
     ];
     for (name, src, setup, query) in queries {
         let interp = Interp::from_source(src).expect("compiles");
-        let serial = Explorer::new(&interp).can_happen(&setup, &query).expect("explores");
+        let truth = Oracle::new(&interp).can_happen(&setup, &query).expect("explores");
         let mut reference = None;
         for workers in [1usize, 2, 4, 8] {
             let cache = Arc::new(QueryCache::new());
@@ -101,13 +102,13 @@ fn can_happen_agrees_with_serial_and_is_worker_invariant() {
                 session.can_happen_with_evidence(&setup, &query).expect("explores");
             assert_eq!(
                 answer.is_yes(),
-                serial.is_yes(),
-                "{name} @{workers}: verdict differs from serial"
+                truth.is_yes(),
+                "{name} @{workers}: verdict differs from the oracle"
             );
             assert_eq!(
                 answer.is_definitive_no(),
-                serial.is_definitive_no(),
-                "{name} @{workers}: exhaustiveness differs from serial"
+                truth.is_definitive_no(),
+                "{name} @{workers}: exhaustiveness differs from the oracle"
             );
             match &reference {
                 None => reference = Some((answer.clone(), evidence.clone())),

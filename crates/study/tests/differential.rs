@@ -3,21 +3,22 @@
 //! Partial-order reduction and corridor compression claim to preserve
 //! the terminal set — every possible normalized output *and* the
 //! deadlock/quiescence classification of each. This suite checks that
-//! claim the blunt way: run the same program through the reduced and
-//! the naive (unreduced, uncompressed) explorer under matched
-//! [`Limits`] and require identical [`Terminal`] sets.
+//! claim the blunt way: run the same program through the reduced
+//! explorer and the brute-force [`Oracle`] (unreduced, uncompressed,
+//! no interner) under matched [`Limits`] and require identical
+//! terminal sets.
 //!
 //! The corpus is every paper figure (1–5), both bridge programs
 //! (Figures 6–7) and the lab/homework programs — shared-memory and
 //! message-passing, with and without deadlocks. The message-passing
 //! bridge is the one program whose naive space is intractable
-//! (millions of states); there the naive search runs truncated and
-//! the check weakens to containment: everything the bounded naive
-//! search reached must appear in the reduced explorer's *complete*
-//! set.
+//! (millions of states); there the check weakens to containment:
+//! every terminal a seeded random schedule reaches must appear in the
+//! reduced explorer's *complete* set.
 
-use concur_exec::explore::{Explorer, Limits};
-use concur_exec::{figures, Interp};
+use concur_exec::explore::{Explorer, Limits, Terminal, TerminalKind};
+use concur_exec::oracle::Oracle;
+use concur_exec::{figures, Interp, Outcome, RandomScheduler};
 use concur_study::bridge::{BRIDGE_MESSAGE_PASSING, BRIDGE_SHARED_MEMORY};
 use concur_study::labs;
 
@@ -29,7 +30,7 @@ fn assert_same_terminals(name: &str, src: &str) {
     let interp =
         Interp::from_source(src).unwrap_or_else(|e| panic!("{name}: failed to compile: {e}"));
     let reduced = Explorer::with_limits(&interp, MATCHED).terminals().unwrap();
-    let naive = Explorer::with_limits(&interp, MATCHED).without_por().terminals().unwrap();
+    let naive = Oracle::with_limits(&interp, MATCHED).terminals().unwrap();
     assert!(!naive.stats.truncated, "{name}: naive search truncated — corpus bug");
     assert!(!reduced.stats.truncated, "{name}: reduced search truncated");
     assert_eq!(
@@ -80,21 +81,21 @@ fn lab_programs_terminals_match_naive() {
 }
 
 /// The philosophers corpus member exists to keep a deadlocking
-/// program in the differential net: both explorers must agree not
-/// just on outputs but on the existence of the deadlock.
+/// program in the differential net: the explorer and the oracle must
+/// agree not just on outputs but on the existence of the deadlock.
 #[test]
 fn differential_corpus_includes_a_deadlock() {
     let interp = Interp::from_source(labs::HW2_PHILOSOPHERS_NAIVE).unwrap();
     let reduced = Explorer::with_limits(&interp, MATCHED).terminals().unwrap();
-    let naive = Explorer::with_limits(&interp, MATCHED).without_por().terminals().unwrap();
+    let naive = Oracle::with_limits(&interp, MATCHED).terminals().unwrap();
     assert!(naive.has_deadlock(), "corpus lost its deadlocking member");
     assert!(reduced.has_deadlock(), "reduction hid the deadlock");
 }
 
 /// The message-passing bridge: the naive space is out of reach
-/// (truncates in the millions), so the naive side runs bounded and
-/// the check is containment — every terminal the bounded naive
-/// search finds must be in the reduced explorer's complete set.
+/// (millions of states), so the naive side is a sample: the terminal
+/// each of a few hundred seeded random schedules ends in must be in
+/// the reduced explorer's complete set.
 #[test]
 fn message_passing_bridge_naive_sample_is_contained() {
     let interp = Interp::from_source(BRIDGE_MESSAGE_PASSING).unwrap();
@@ -103,13 +104,18 @@ fn message_passing_bridge_naive_sample_is_contained() {
         !reduced.stats.truncated,
         "reduced exploration of the message-passing bridge should be complete"
     );
-    let bounded = Limits { max_states: 20_000, max_depth: 20_000, max_setup_states: 4096 };
-    let naive = Explorer::with_limits(&interp, bounded).without_por().terminals().unwrap();
-    assert!(naive.stats.truncated, "naive search unexpectedly finished — tighten docs");
-    for t in &naive.terminals {
+    for seed in 0..200 {
+        let run = concur_exec::run(&interp, &mut RandomScheduler::new(seed), 100_000).unwrap();
+        let outcome = match run.outcome {
+            Outcome::AllDone => TerminalKind::AllDone,
+            Outcome::Quiescent => TerminalKind::Quiescent,
+            Outcome::Deadlock => TerminalKind::Deadlock,
+            Outcome::StepLimit => panic!("seed {seed}: the bridge runs to a terminal"),
+        };
+        let t = Terminal { output: run.state.output.normalized(), outcome };
         assert!(
-            reduced.terminals.contains(t),
-            "naive-reachable terminal missing from reduced set: {t:?}"
+            reduced.terminals.contains(&t),
+            "seed {seed}: sampled terminal missing from reduced set: {t:?}"
         );
     }
 }
